@@ -9,16 +9,20 @@ Exit codes are a stable contract: 0 success, 2 semantic error (violations,
 mismatched labels, bad parameters), 3 I/O or parse error, 4 feasibility
 guard.  Output is deterministic ASCII; pass --unicode for relation glyphs.
 No color is ever emitted, so NO_COLOR is honored trivially.
+
+Each command imports the solver-side modules it calls when it runs, so a
+process loads only what its subcommand needs: ``check`` and ``dot`` stop at
+documents and core, ``canonical`` adds completions.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from .core import (
+    MAX_GROUND,
     GroundSet,
     Preorder,
     Relation,
@@ -26,7 +30,6 @@ from .core import (
     relation_violations,
     validate_preorder,
 )
-from .completions import canonical_completion
 from .documents import (
     RelationDocument,
     document_from_relation,
@@ -49,18 +52,10 @@ from .errors import (
     TooLarge,
     ViolationError,
 )
-from .families import FamilySpec
-from .metrics import ksb_distance, top_difference_direct, top_difference_fast
-from .scoring import index_general
-from .solver import (
-    ApproximationReport,
-    bca_auto,
-    bca_bruteforce,
-    bca_duality,
-    bca_theorem5,
-    condition_star,
-    covering_radius,
-)
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:
+    from .solver import ApproximationReport
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 2
@@ -69,8 +64,12 @@ EXIT_GUARD = 4
 
 
 def _read_document(path: str) -> RelationDocument:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_document(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_document(text)
 
 
 def _load_preorder(path: str) -> Preorder:
@@ -79,6 +78,12 @@ def _load_preorder(path: str) -> Preorder:
 
 def _strict_sep(args) -> str:
     return " ≻ " if args.unicode else " > "
+
+
+def _ground_size(n: int) -> int:
+    if not 1 <= n <= MAX_GROUND:
+        raise BadParameter(f"--n must be in 1..{MAX_GROUND}, got {n}")
+    return n
 
 
 def _render_report(report: ApproximationReport, args, verdict: str | None) -> str:
@@ -131,6 +136,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_metric(args) -> int:
+    from .metrics import ksb_distance, top_difference_direct, top_difference_fast
+
     p = _load_preorder(args.file_a)
     q = _load_preorder(args.file_b)
     if args.metric == "top-diff":
@@ -144,26 +151,34 @@ def cmd_metric(args) -> int:
 
 
 def cmd_bca(args) -> int:
+    from .solver import (
+        bca_auto,
+        bca_bruteforce,
+        bca_duality,
+        bca_theorem5,
+        condition_star,
+    )
+
     base = _load_preorder(args.file)
-    verdict: str | None = None
+    star = None
     if args.method == "auto":
         try:
-            verdict = condition_star(base).verdict
+            star = condition_star(base)
         except TooLarge:
-            verdict = None
-        report = bca_auto(base)
+            pass
+        report = bca_auto(base, star=star)
     elif args.method == "bruteforce":
         report = bca_bruteforce(base, max_n=args.max_n)
     elif args.method == "duality":
         report = bca_duality(base, max_classes=args.max_n)
     else:
-        star = condition_star(base)
-        verdict = star.verdict
-        maybe = bca_theorem5(base)
+        star = condition_star(base, max_layer=args.max_n)
+        maybe = bca_theorem5(base, star=star)
         if maybe is None:
             print("not applicable: condition (*) fails for this relation")
             return EXIT_SEMANTIC
         report = maybe
+    verdict = None if star is None else star.verdict
     if args.emit == "json":
         sys.stdout.write(_report_json(report, verdict))
     elif args.emit == "dot":
@@ -178,12 +193,16 @@ def cmd_bca(args) -> int:
 
 
 def cmd_index(args) -> int:
+    from .scoring import index_general
+
     base = _load_preorder(args.file)
     print(index_general(base, max_classes=args.max_n))
     return EXIT_OK
 
 
 def cmd_canonical(args) -> int:
+    from .completions import canonical_completion
+
     base = _load_preorder(args.file)
     total = canonical_completion(base)
     if args.emit == "json":
@@ -196,6 +215,8 @@ def cmd_canonical(args) -> int:
 
 
 def cmd_condition_star(args) -> int:
+    from .solver import condition_star
+
     base = _load_preorder(args.file)
     report = condition_star(base, max_layer=args.max_n)
     print(f"verdict: {report.verdict}")
@@ -209,6 +230,8 @@ def cmd_condition_star(args) -> int:
 
 
 def _random_document(n: int, density: float, seed: int) -> RelationDocument:
+    import random
+
     rng = random.Random(seed)
     rows = [1 << i for i in range(n)]
     for i in range(n):
@@ -222,12 +245,18 @@ def _random_document(n: int, density: float, seed: int) -> RelationDocument:
 
 
 def cmd_generate(args) -> int:
+    if args.n is not None:
+        _ground_size(args.n)
     if args.family == "random":
         if args.n is None:
             raise BadParameter("random family needs --n")
+        if not 0 <= args.density <= 1:
+            raise BadParameter(f"--density must be in [0, 1], got {args.density}")
         doc = _random_document(args.n, args.density, args.seed)
         sys.stdout.write(document_to_json(doc))
         return EXIT_OK
+    from .families import FamilySpec
+
     params = {}
     for name in ("z", "k", "m", "n", "alphabet"):
         value = getattr(args, name, None)
@@ -259,7 +288,10 @@ def cmd_dot(args) -> int:
 
 
 def cmd_covering_radius(args) -> int:
-    ground = GroundSet(tuple(f"x{i}" for i in range(1, args.n + 1)))
+    from .solver import covering_radius
+
+    n = _ground_size(args.n)
+    ground = GroundSet(tuple(f"x{i}" for i in range(1, n + 1)))
     report = covering_radius(ground, max_n=args.max_n)
     if args.emit == "json":
         payload = {

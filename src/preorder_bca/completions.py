@@ -9,9 +9,9 @@ corrupt the brute-force oracles built on top of these streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
+from ._record import record
 from .core import (
     GroundSet,
     Mask,
@@ -66,7 +66,7 @@ def enumerate_total_preorders(ground: GroundSet,
         yield TotalPreorder(ground, blocks)
 
 
-@dataclass(frozen=True)
+@record
 class CompletionStream:
     """Deterministic stream of completions of ``base``.
 

@@ -12,10 +12,10 @@ function, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import cached_property
-from typing import Iterator
 
+from ._record import record
 from .errors import (
     EmptySubset,
     GroundMismatch,
@@ -46,7 +46,7 @@ def bits_tuple(mask: Mask) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
 
 
-@dataclass(frozen=True)
+@record
 class GroundSet:
     """A labelled finite set; labels must be distinct, 1 <= n <= 64."""
 
@@ -75,7 +75,7 @@ class GroundSet:
         return tuple(sorted(self.labels[i] for i in iter_bits(mask)))
 
 
-@dataclass(frozen=True)
+@record
 class Relation:
     """Reflexive binary relation: ``rows[i]`` bit ``j`` set iff x_i >= x_j."""
 
@@ -105,7 +105,7 @@ class Relation:
         return [(i, j) for i in range(self.n) for j in iter_bits(self.rows[i])]
 
 
-@dataclass(frozen=True)
+@record
 class Preorder(Relation):
     """A Relation that passed reflexivity + transitivity validation.
 
@@ -218,7 +218,7 @@ def preorder_from_predicate(labels, weakly_above) -> Preorder:
     return validate_preorder(Relation(ground, tuple(rows)))
 
 
-@dataclass(frozen=True)
+@record
 class TotalPreorder:
     """Total preorder as an ordered partition; ``blocks[0]`` is the top class."""
 

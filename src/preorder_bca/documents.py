@@ -9,8 +9,8 @@ two-space indent, trailing newline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
+from ._record import record
 from .core import (
     GroundSet,
     Preorder,
@@ -26,7 +26,7 @@ from .errors import DocumentError
 SCHEMA = "preorder-doc/1"
 
 
-@dataclass(frozen=True)
+@record
 class RelationDocument:
     labels: tuple[str, ...]
     pairs: tuple[tuple[int, int], ...]
@@ -63,6 +63,8 @@ def parse_document(text: str) -> RelationDocument:
         pairs = raw["pairs"]
     except KeyError as exc:
         raise DocumentError(f"missing document field: {exc}") from exc
+    if not isinstance(schema, str):
+        raise DocumentError(f"schema must be a string, got {schema!r}")
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise DocumentError("labels must be a list of strings")
     if not isinstance(pairs, list):
@@ -76,10 +78,17 @@ def parse_document(text: str) -> RelationDocument:
     return RelationDocument(
         labels=tuple(labels),
         pairs=tuple(norm_pairs),
-        reflexive_closure=bool(raw.get("reflexive_closure", False)),
-        transitive_closure=bool(raw.get("transitive_closure", False)),
+        reflexive_closure=_flag(raw, "reflexive_closure"),
+        transitive_closure=_flag(raw, "transitive_closure"),
         schema=schema,
     )
+
+
+def _flag(raw: dict, name: str) -> bool:
+    value = raw.get(name, False)
+    if not isinstance(value, bool):
+        raise DocumentError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 def document_to_json(doc: RelationDocument) -> str:

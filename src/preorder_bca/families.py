@@ -23,10 +23,10 @@ here are the contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Mapping
 
+from ._record import record
 from .core import GroundSet, Preorder, TotalPreorder, mask_of, preorder_from_predicate
 from .errors import BadParameter, ParameterMismatch, TooLarge
 
@@ -282,7 +282,7 @@ _PARAM_NAMES = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class FamilySpec:
     """A family kind plus its integer parameters; builds the order and, where
     the answer has a closed form, the expected best approximation."""

@@ -17,9 +17,8 @@ bound could overflow a word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import _backend, _kernels_py
+from ._record import record
 from .core import Mask, Preorder, TotalPreorder, maximal_elements
 from .errors import EmptySubset, GroundMismatch, TooLarge
 
@@ -33,13 +32,13 @@ def _require_same_ground(p: Preorder, q: Preorder) -> None:
         raise GroundMismatch("metric arguments live on different ground sets")
 
 
-@dataclass(frozen=True)
+@record
 class MenuDelta:
     menu: Mask
     delta: int
 
 
-@dataclass(frozen=True)
+@record
 class DominationProfile:
     """Per-element counts from the closed-form derivation.
 
@@ -106,7 +105,7 @@ def ksb_distance(p: Preorder, q: Preorder) -> int:
     return sum((a ^ b).bit_count() for a, b in zip(p.rows, q.rows))
 
 
-@dataclass(frozen=True)
+@record
 class StrictCompletionReport:
     """Result of checking that strict completions minimize the KSB distance."""
 

@@ -9,13 +9,12 @@ than floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .core import Preorder, TotalPreorder, down_set
 from .errors import EmptySequence
 
 
-@dataclass(frozen=True)
+@record
 class DyadicRational:
     """Exact value numerator / 2^exponent, kept in canonical form."""
 

@@ -19,9 +19,8 @@ representative is silently chosen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import _backend
+from ._record import record
 from .core import (
     GroundSet,
     Mask,
@@ -49,7 +48,7 @@ WEAK = "weak"
 FAILS = "fails"
 
 
-@dataclass(frozen=True)
+@record
 class ApproximationReport:
     """Solver output: the tie set, its common distance, per-candidate indices,
     and the route that produced it.  ``complete_set`` is False only when the
@@ -64,7 +63,7 @@ class ApproximationReport:
     complete_set: bool = True
 
 
-@dataclass(frozen=True)
+@record
 class ConditionStarWitness:
     layer: int
     subset: Mask
@@ -73,7 +72,7 @@ class ConditionStarWitness:
     bound: int
 
 
-@dataclass(frozen=True)
+@record
 class ConditionStarReport:
     """Verdict of the layer condition with every equality or violation found.
 
@@ -158,15 +157,17 @@ def condition_star(base: Preorder, max_layer: int | None = None) -> ConditionSta
     """
     limit = MAX_CONDITION_LAYER if max_layer is None else max_layer
     layer_masks = layers(base)
+    # refuse before sweeping any layer, so a refusal costs only the layers
+    for i, layer in enumerate(layer_masks, start=1):
+        size = layer.bit_count()
+        if size >= 2 and size > limit:
+            raise TooLarge(f"layer {i} has {size} elements; the 2^|layer| "
+                           f"subset sweep guard is {limit}")
     verdict = STRICT
     witnesses: list[ConditionStarWitness] = []
     for i, layer in enumerate(layer_masks, start=1):
-        size = layer.bit_count()
-        if size < 2:
+        if layer.bit_count() < 2:
             continue
-        if size > limit:
-            raise TooLarge(f"layer {i} has {size} elements; the 2^|layer| "
-                           f"subset sweep guard is {limit}")
         s = (0 - layer) & layer
         while s != layer:
             below = 0
@@ -188,16 +189,18 @@ def condition_star(base: Preorder, max_layer: int | None = None) -> ConditionSta
     return ConditionStarReport(verdict, tuple(witnesses))
 
 
-def bca_theorem5(base: Preorder,
-                 max_layer: int | None = None) -> ApproximationReport | None:
+def bca_theorem5(base: Preorder, max_layer: int | None = None,
+                 star: ConditionStarReport | None = None
+                 ) -> ApproximationReport | None:
     """Canonical-completion fast path.
 
     Returns the unique answer when the layer condition holds strictly, a
     ``complete_set=False`` report when it holds weakly (the canonical
     completion belongs to the answer but other members may exist), and None
-    when the condition fails.
+    when the condition fails.  ``star`` is the condition (*) report of
+    ``base`` when the caller has already computed it.
     """
-    report = condition_star(base, max_layer=max_layer)
+    report = condition_star(base, max_layer=max_layer) if star is None else star
     if report.verdict == FAILS:
         return None
     canonical = canonical_completion(base)
@@ -210,11 +213,12 @@ def bca_theorem5(base: Preorder,
     )
 
 
-def bca_auto(base: Preorder) -> ApproximationReport:
+def bca_auto(base: Preorder,
+             star: ConditionStarReport | None = None) -> ApproximationReport:
     """Cheapest certain route: theorem5 when strict, else duality, else the
-    full sweep."""
+    full sweep.  ``star`` is passed on to :func:`bca_theorem5`."""
     try:
-        report = bca_theorem5(base)
+        report = bca_theorem5(base, star=star)
     except TooLarge:
         report = None
     if report is not None and report.complete_set:
@@ -225,7 +229,7 @@ def bca_auto(base: Preorder) -> ApproximationReport:
         return bca_bruteforce(base)
 
 
-@dataclass(frozen=True)
+@record
 class CoveringRadiusReport:
     radius: int
     witness: Preorder

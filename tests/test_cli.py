@@ -226,3 +226,62 @@ def test_condition_star_strict_has_no_witness_line(capsys):
     code, out, _ = run_cli(capsys, "condition-star", fixture("chain3"))
     assert code == 0
     assert out == "verdict: strict\n"
+
+
+def test_non_utf8_document_is_an_io_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"schema": "preorder-doc/1", "labels": ["\xe9"], "pairs": []}')
+    code, _, err = run_cli(capsys, "check", str(bad))
+    assert code == 3
+    assert err.startswith("error:")
+
+
+def test_generate_random_rejects_n_out_of_range(capsys):
+    for n in ("0", "65"):
+        code, _, err = run_cli(capsys, "generate", "random", "--n", n)
+        assert code == 2
+        assert err.startswith("error:")
+
+
+def test_covering_radius_rejects_n_out_of_range(capsys):
+    for n in ("0", "65"):
+        code, _, err = run_cli(capsys, "covering-radius", "--n", n)
+        assert code == 2
+        assert err.startswith("error:")
+
+
+def test_generate_random_rejects_density_out_of_range(capsys):
+    for density in ("7", "-0.5", "nan"):
+        code, out, err = run_cli(capsys, "generate", "random", "--n", "3",
+                                 "--density", density)
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+    code, _, _ = run_cli(capsys, "generate", "random", "--n", "3", "--density", "1")
+    assert code == 0
+
+
+def test_bca_theorem5_honours_max_n(capsys):
+    code, _, err = run_cli(capsys, "--max-n", "1", "bca", fixture("ex5_base"),
+                           "--method", "theorem5")
+    assert code == 4
+    assert err.startswith("guard:")
+
+
+def test_bca_computes_condition_star_once(capsys, monkeypatch):
+    from preorder_bca import solver
+
+    calls = []
+    real = solver.condition_star
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    # the CLI may bind the solver's function under its own name as well
+    monkeypatch.setattr(solver, "condition_star", counted)
+    monkeypatch.setattr(cli, "condition_star", counted, raising=False)
+    for method in ("auto", "theorem5"):
+        calls.clear()
+        code, _, _ = run_cli(capsys, "bca", fixture("ex5_base"), "--method", method)
+        assert code == 0
+        assert len(calls) == 1, method

@@ -50,6 +50,19 @@ def test_parse_rejects_bad_documents():
             {"schema": "preorder-doc/1", "labels": ["a"], "pairs": [[0, True]]}))
 
 
+def test_parse_is_strict_about_field_types():
+    base = {"schema": "preorder-doc/1", "labels": ["a", "b"], "pairs": [[0, 1]]}
+    for field, value in (("reflexive_closure", "false"),
+                         ("transitive_closure", 1),
+                         ("reflexive_closure", None),
+                         ("schema", 1),
+                         ("schema", ["preorder-doc/1"])):
+        with pytest.raises(DocumentError, match=field):
+            parse_document(json.dumps({**base, field: value}))
+    doc = parse_document(json.dumps({**base, "reflexive_closure": False}))
+    assert doc.reflexive_closure is False and doc.transitive_closure is False
+
+
 def test_closures_applied():
     doc = RelationDocument(labels=("a", "b", "c"), pairs=((0, 1), (1, 2)),
                            reflexive_closure=True, transitive_closure=True)
