@@ -39,8 +39,8 @@ _EXPORTS = {
     ),
     "errors": (
         "BadParameter", "DocumentError", "EmptySequence", "EmptySubset",
-        "GroundMismatch", "NotACompletion", "NotTotal", "ParameterMismatch",
-        "PreorderBcaError", "TooLarge", "ViolationError",
+        "GroundMismatch", "InvalidRelation", "NotACompletion", "NotTotal",
+        "ParameterMismatch", "PreorderBcaError", "TooLarge", "ViolationError",
     ),
     "families": ("FamilySpec",),
     "metrics": (

@@ -5,6 +5,12 @@ with each block drawn in increasing bitmask order, so two runs over the same
 input yield identical sequences.  Size guards raise :class:`TooLarge` up
 front instead of truncating, since a partial enumeration would silently
 corrupt the brute-force oracles built on top of these streams.
+
+The maximal and strict streams skip blocks of the one completion recursion
+and keep its order: a maximal block holds a class strictly below one of the
+previous block, since merging two consecutive blocks keeps a completion
+exactly when no strict base pair crosses them; a strict block holds one
+class, since the classes a block may draw from are pairwise incomparable.
 """
 
 from __future__ import annotations
@@ -21,17 +27,15 @@ from .core import (
     is_completion,
     iter_bits,
     layers,
-    rows_violations,
 )
 from .errors import NotACompletion, TooLarge
 
 # Conservative guard defaults.  Fubini(9) is ~7.1e6 (the largest sweep any
-# acceptance target needs); 2^(4*3) transitivity-filtered patterns is the
+# acceptance target needs); the 355 preorders on four elements are the
 # preorder-universe ceiling.  Callers may override per call.
 MAX_TOTAL_ENUM_N = 9
 MAX_PREORDER_ENUM_N = 4
 MAX_COMPLETION_CLASSES = 9
-MAX_MAXIMAL_CANDIDATES = 20_000
 
 
 def enumerate_ordered_partitions(items: Mask) -> Iterator[tuple[Mask, ...]]:
@@ -72,34 +76,30 @@ class CompletionStream:
 
     ``which`` selects "all", "maximal" (not properly contained in another
     completion), or "strict" (every base-incomparable pair becomes strictly
-    ranked).
+    ranked).  A maximal block holds a class strictly below one of the
+    previous block: merging two consecutive blocks keeps a completion exactly
+    when no strict base pair crosses them.  A strict block holds one class:
+    the classes a block may draw from are pairwise incomparable.
     """
 
     base: Preorder
     which: str = "all"
     max_classes: int | None = None
-    max_candidates: int | None = None
 
     def __post_init__(self):
         if self.which not in ("all", "maximal", "strict"):
             raise ValueError(f"unknown completion filter: {self.which!r}")
 
     def __iter__(self) -> Iterator[TotalPreorder]:
-        if self.which == "maximal":
-            yield from _maximal_completions(self.base, self.max_classes,
-                                            self.max_candidates)
-        else:
-            strict_only = self.which == "strict"
-            yield from _completions(self.base, strict_only, self.max_classes)
+        return _completions(self.base, self.which, self.max_classes)
 
 
 def enumerate_completions(base: Preorder, which: str = "all",
-                          max_classes: int | None = None,
-                          max_candidates: int | None = None) -> CompletionStream:
-    return CompletionStream(base, which, max_classes, max_candidates)
+                          max_classes: int | None = None) -> CompletionStream:
+    return CompletionStream(base, which, max_classes)
 
 
-def _completions(base: Preorder, strict_only: bool,
+def _completions(base: Preorder, which: str,
                  max_classes: int | None) -> Iterator[TotalPreorder]:
     # Work on the indifference-class quotient: indifferent elements can never
     # be separated by a completion, and a completion is exactly an ordered
@@ -118,10 +118,11 @@ def _completions(base: Preorder, strict_only: bool,
         for b in range(k):
             if a != b and base.holds(reps[a], reps[b]):
                 dominators[b] |= 1 << a
-    full = (1 << k) - 1
+    maximal_only = which == "maximal"
+    strict_only = which == "strict"
     stack: list[int] = []
 
-    def rec(remaining: int) -> Iterator[TotalPreorder]:
+    def rec(remaining: int, prev: int) -> Iterator[TotalPreorder]:
         if remaining == 0:
             yield TotalPreorder(
                 base.ground,
@@ -134,15 +135,23 @@ def _completions(base: Preorder, strict_only: bool,
         for c in iter_bits(remaining):
             if dominators[c] & remaining == 0:
                 placeable |= 1 << c
+        # the block must meet ``required``; strict blocks hold one class
+        # (see CompletionStream)
+        required = placeable
+        if maximal_only and prev:
+            required = 0
+            for c in iter_bits(placeable):
+                if dominators[c] & prev:
+                    required |= 1 << c
         s = (0 - placeable) & placeable
         while s:
-            if not (strict_only and s.bit_count() > 1 and _merges_incomparable(s, reps, base)):
+            if s & required and not (strict_only and s & (s - 1)):
                 stack.append(s)
-                yield from rec(remaining & ~s)
+                yield from rec(remaining & ~s, s)
                 stack.pop()
             s = (s - placeable) & placeable
 
-    yield from rec(full)
+    yield from rec((1 << k) - 1, 0)
 
 
 def _expand(classes, class_mask: int) -> Mask:
@@ -152,52 +161,14 @@ def _expand(classes, class_mask: int) -> Mask:
     return m
 
 
-def _merges_incomparable(class_mask: int, reps, base: Preorder) -> bool:
-    chosen = list(iter_bits(class_mask))
-    for i, a in enumerate(chosen):
-        for b in chosen[i + 1:]:
-            if not base.holds(reps[a], reps[b]) and not base.holds(reps[b], reps[a]):
-                return True
-    return False
-
-
-def _maximal_completions(base: Preorder, max_classes: int | None,
-                         max_candidates: int | None) -> Iterator[TotalPreorder]:
-    # Post-filter the full list with pairwise containment tests.  Containment
-    # of total preorders implies a weakly larger pair count, so candidates
-    # are bucketed by pair count to skip most comparisons.
-    limit = MAX_MAXIMAL_CANDIDATES if max_candidates is None else max_candidates
-    candidates: list[TotalPreorder] = []
-    for cand in _completions(base, False, max_classes):
-        candidates.append(cand)
-        if len(candidates) > limit:
-            raise TooLarge(f"more than {limit} completions to filter for "
-                           f"maximality; raise max_candidates to insist")
-    rows_list = [c.as_preorder.rows for c in candidates]
-    counts = [sum(r.bit_count() for r in rows) for rows in rows_list]
-    for i, cand in enumerate(candidates):
-        contained = False
-        for j in range(len(candidates)):
-            if counts[j] <= counts[i] or i == j:
-                continue
-            if all(a & ~b == 0 for a, b in zip(rows_list[i], rows_list[j])):
-                contained = True
-                break
-        if not contained:
-            yield cand
-
-
 def is_maximal_completion(cand: TotalPreorder, base: Preorder) -> bool:
-    """Exhaustive check: no completion of ``base`` properly contains ``cand``."""
+    """True iff no completion of ``base`` properly contains ``cand``: every
+    two consecutive blocks of ``cand`` are crossed by a strict base pair."""
     if not is_completion(cand, base):
         raise NotACompletion("candidate does not complete the base relation")
-    cand_rows = cand.as_preorder.rows
-    cand_count = sum(r.bit_count() for r in cand_rows)
-    for other in _completions(base, False, None):
-        rows = other.as_preorder.rows
-        if sum(r.bit_count() for r in rows) <= cand_count:
-            continue
-        if all(a & ~b == 0 for a, b in zip(cand_rows, rows)):
+    below = base.strict_down
+    for upper, lower in zip(cand.blocks, cand.blocks[1:]):
+        if not any(below[x] & lower for x in iter_bits(upper)):
             return False
     return True
 
@@ -211,29 +182,52 @@ def enumerate_preorders(ground: GroundSet,
                         max_n: int | None = None) -> Iterator[Preorder]:
     """Every preorder on ``ground`` exactly once.
 
-    Brute force over all off-diagonal bit patterns with a transitivity
-    filter; patterns are visited in increasing numeric order for
-    reproducibility.
+    Rows are assigned from the last element down, each row's off-diagonal
+    bits in increasing order, so preorders come in increasing order of their
+    off-diagonal bit pattern (row 0 least significant) for reproducibility.
+    A choice whose assigned rows are not transitive among themselves is
+    abandoned: every restriction of a preorder is a preorder.
     """
     limit = MAX_PREORDER_ENUM_N if max_n is None else max_n
     n = ground.n
     if n > limit:
         raise TooLarge(f"enumerating preorders on {n} elements exceeds the "
                        f"guard ({limit}); raise max_n to insist")
-    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
-    rng = range(n)
-    for pattern in range(1 << len(offdiag)):
-        rows = [1 << i for i in rng]
-        for bit, (i, j) in enumerate(offdiag):
-            if (pattern >> bit) & 1:
-                rows[i] |= 1 << j
-        # transitive iff no row can reach anything outside itself in one hop
-        for i in rng:
-            row = rows[i]
-            reach = 0
-            for j in iter_bits(row):
-                reach |= rows[j]
-            if reach & ~row:
-                break
-        else:
+    rows = [0] * n
+
+    def rec(i: int, above: Mask) -> Iterator[Preorder]:
+        # rows of ``above`` (elements i+1..n-1) are assigned and transitive
+        # among themselves; extend that to i, checking only triples with i
+        if i < 0:
             yield Preorder(ground, tuple(rows))
+            return
+        bit = 1 << i
+        ups = 0  # assigned elements whose rows put them weakly above i
+        for h in iter_bits(above):
+            if rows[h] & bit:
+                ups |= 1 << h
+        cap = above  # h >= i >= j needs h >= j: row i inside every up row
+        for h in iter_bits(above):
+            if (ups >> h) & 1:
+                cap &= rows[h]
+            elif rows[h] & ups:
+                return  # h >= j >= i without h >= i
+        # row i's bits inside ``above`` must be closed under going down;
+        # its bits below i name unassigned elements and are checked later
+        for hi in _subsets(cap):
+            if all(rows[j] & above & ~hi == 0 for j in iter_bits(hi)):
+                for lo in _subsets(bit - 1):
+                    rows[i] = bit | hi | lo
+                    yield from rec(i - 1, above | bit)
+
+    yield from rec(n - 1, 0)
+
+
+def _subsets(mask: Mask) -> Iterator[Mask]:
+    """Every subset of ``mask`` in increasing order, the empty one first."""
+    s = 0
+    while True:
+        yield s
+        s = (s - mask) & mask
+        if s == 0:
+            return

@@ -19,6 +19,7 @@ from ._record import record
 from .errors import (
     EmptySubset,
     GroundMismatch,
+    InvalidRelation,
     NotTotal,
     ViolationError,
 )
@@ -55,10 +56,10 @@ class GroundSet:
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
         if not 1 <= len(self.labels) <= MAX_GROUND:
-            raise ValueError(f"ground set size must be in 1..{MAX_GROUND}, "
-                             f"got {len(self.labels)}")
+            raise InvalidRelation(f"ground set size must be in 1..{MAX_GROUND}, "
+                                  f"got {len(self.labels)}")
         if len(set(self.labels)) != len(self.labels):
-            raise ValueError("ground set labels must be distinct")
+            raise InvalidRelation("ground set labels must be distinct")
 
     @property
     def n(self) -> int:
@@ -86,13 +87,13 @@ class Relation:
         object.__setattr__(self, "rows", tuple(self.rows))
         n = self.ground.n
         if len(self.rows) != n:
-            raise ValueError("row count does not match ground set size")
+            raise InvalidRelation("row count does not match ground set size")
         full = self.ground.full_mask
         for i, row in enumerate(self.rows):
             if row & ~full:
-                raise ValueError(f"row {i} has bits outside the ground set")
+                raise InvalidRelation(f"row {i} has bits outside the ground set")
             if not (row >> i) & 1:
-                raise ValueError(f"relation is not reflexive at element {i}")
+                raise InvalidRelation(f"relation is not reflexive at element {i}")
 
     @property
     def n(self) -> int:
@@ -230,12 +231,12 @@ class TotalPreorder:
         seen = 0
         for b in self.blocks:
             if b == 0:
-                raise ValueError("empty block in total preorder")
+                raise InvalidRelation("empty block in total preorder")
             if b & seen:
-                raise ValueError("overlapping blocks in total preorder")
+                raise InvalidRelation("overlapping blocks in total preorder")
             seen |= b
         if seen != self.ground.full_mask:
-            raise ValueError("blocks do not partition the ground set")
+            raise InvalidRelation("blocks do not partition the ground set")
 
     @property
     def n(self) -> int:

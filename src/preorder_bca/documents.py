@@ -21,7 +21,7 @@ from .core import (
     class_label,
     validate_preorder,
 )
-from .errors import DocumentError
+from .errors import DocumentError, InvalidRelation
 
 SCHEMA = "preorder-doc/1"
 
@@ -130,7 +130,7 @@ def document_to_relation(doc: RelationDocument) -> Relation:
         rows = transitive_closure_rows(rows)
     try:
         return Relation(GroundSet(tuple(doc.labels)), tuple(rows))
-    except ValueError as exc:
+    except InvalidRelation as exc:
         raise DocumentError(str(exc)) from exc
 
 

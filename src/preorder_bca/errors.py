@@ -5,6 +5,11 @@ class PreorderBcaError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidRelation(PreorderBcaError, ValueError):
+    """A ground set, relation or total preorder failed its construction
+    checks (size, distinct labels, row bits, reflexivity, block partition)."""
+
+
 class GroundMismatch(PreorderBcaError):
     """Two relations were combined but live on different ground sets."""
 

@@ -2,6 +2,8 @@ import json
 import pathlib
 import random
 
+import pytest
+
 from preorder_bca import cli, parse_document
 from preorder_bca.documents import document_to_json
 from conftest import random_preorder
@@ -133,6 +135,14 @@ def test_generate_families(capsys):
 
     code, _, err = run_cli(capsys, "generate", "containment", "--k", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("family, k", [("fence", "100"), ("crown", "66")])
+def test_generate_family_beyond_64_elements_exits_2(capsys, family, k):
+    code, out, err = run_cli(capsys, "generate", family, "--k", k)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_generate_expected_bca_pair(capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import worked_examples as wx
@@ -16,8 +18,71 @@ from preorder_bca import (
     validate_preorder,
 )
 from preorder_bca import families
-from preorder_bca.core import Relation
+from preorder_bca.core import Relation, iter_bits
 from conftest import random_preorder
+
+
+# -- oracles by definition ----------------------------------------------------
+
+def maximal_by_containment(completions):
+    """The completions that no other completion properly contains, by
+    pairwise row containment (containment implies a larger pair count)."""
+    rows_list = [c.as_preorder.rows for c in completions]
+    counts = [sum(r.bit_count() for r in rows) for rows in rows_list]
+    kept = []
+    for i, cand in enumerate(completions):
+        if not any(counts[j] > counts[i]
+                   and all(a & ~b == 0 for a, b in zip(rows_list[i], rows_list[j]))
+                   for j in range(len(completions))):
+            kept.append(cand)
+    return kept
+
+
+def is_strict_by_definition(cand, base):
+    """Every base-incomparable pair is strictly ranked by ``cand``."""
+    for i in range(base.n):
+        for j in range(base.n):
+            if not base.holds(i, j) and not base.holds(j, i):
+                if cand.holds(i, j) and cand.holds(j, i):
+                    return False
+    return True
+
+
+def preorders_by_pattern_filter(ground):
+    """Every reflexive off-diagonal bit pattern in increasing order, kept
+    when transitive."""
+    n = ground.n
+    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for pattern in range(1 << len(offdiag)):
+        rows = [1 << i for i in range(n)]
+        for bit, (i, j) in enumerate(offdiag):
+            if (pattern >> bit) & 1:
+                rows[i] |= 1 << j
+        if all(all(rows[j] & ~rows[i] == 0 for j in iter_bits(rows[i]))
+               for i in range(n)):
+            yield tuple(rows)
+
+
+def pattern_key(rows):
+    n = len(rows)
+    key = 0
+    for i in reversed(range(n)):
+        for j in reversed(range(n)):
+            if i != j:
+                key = (key << 1) | ((rows[i] >> j) & 1)
+    return key
+
+
+def oracle_bases():
+    """Every preorder with n <= 4, then seeded random bases with n = 5, 6."""
+    for n in (1, 2, 3, 4):
+        ground = GroundSet(tuple(f"e{i}" for i in range(n)))
+        yield from enumerate_preorders(ground)
+    rng = random.Random(4)
+    for n in (5, 6):
+        for density in (0.1, 0.2, 0.3, 0.5):
+            for _ in range(5):
+                yield random_preorder(rng, n, density)
 
 
 def test_total_preorder_counts_match_fubini():
@@ -87,9 +152,34 @@ def test_example3_maximal_completions():
 def test_maximal_filter_members_pass_the_exhaustive_check(rng):
     for _ in range(15):
         base = random_preorder(rng, 4)
-        maximal = {c.blocks for c in enumerate_completions(base, "maximal")}
-        for cand in enumerate_completions(base):
+        completions = list(enumerate_completions(base))
+        maximal = {c.blocks for c in maximal_by_containment(completions)}
+        for cand in completions:
             assert is_maximal_completion(cand, base) == (cand.blocks in maximal)
+
+
+def test_filtered_streams_match_the_definitions():
+    # the local block rules yield exactly the definitional filters of the
+    # "all" stream, in its order
+    for base in oracle_bases():
+        completions = list(enumerate_completions(base))
+        maximal = maximal_by_containment(completions)
+        assert ([c.blocks for c in enumerate_completions(base, "maximal")]
+                == [c.blocks for c in maximal])
+        assert ([c.blocks for c in enumerate_completions(base, "strict")]
+                == [c.blocks for c in completions if is_strict_by_definition(c, base)])
+        maximal_blocks = {c.blocks for c in maximal}
+        for cand in completions:
+            assert is_maximal_completion(cand, base) == (cand.blocks in maximal_blocks)
+
+
+def test_fence8_has_49_maximal_completions():
+    fence8 = families.fence(8)
+    maximal = list(enumerate_completions(fence8, "maximal"))
+    assert len(maximal) == 49
+    assert len({c.blocks for c in maximal}) == 49
+    for cand in maximal:
+        assert is_maximal_completion(cand, fence8)
 
 
 def test_example6_and_8_maximal_sets():
@@ -161,6 +251,20 @@ def test_completion_stream_determinism(rng):
     base = random_preorder(rng, 6)
     runs = [[c.blocks for c in enumerate_completions(base)] for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+def test_preorder_stream_matches_the_pattern_filter():
+    for n in (1, 2, 3, 4):
+        ground = GroundSet(tuple(f"e{i}" for i in range(n)))
+        assert ([p.rows for p in enumerate_preorders(ground)]
+                == list(preorders_by_pattern_filter(ground)))
+    # n = 5: A000798 many preorders (each validated by the Preorder
+    # constructor) in strictly increasing pattern order is the filter's
+    # sequence, without its 2^20 patterns
+    ground = GroundSet(tuple(f"e{i}" for i in range(5)))
+    keys = [pattern_key(p.rows) for p in enumerate_preorders(ground, max_n=5)]
+    assert len(keys) == 6942
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_enumerate_preorders_guard():

@@ -40,6 +40,20 @@ def test_ground_set_rejects_duplicates_and_bad_sizes():
         GroundSet(tuple(f"x{i}" for i in range(65)))
 
 
+def test_construction_checks_raise_invalid_relation():
+    from preorder_bca import InvalidRelation, PreorderBcaError, TotalPreorder
+
+    assert issubclass(InvalidRelation, PreorderBcaError)
+    assert issubclass(InvalidRelation, ValueError)
+    ground = GroundSet(("a", "b"))
+    with pytest.raises(InvalidRelation):
+        GroundSet(tuple(f"x{i}" for i in range(65)))
+    with pytest.raises(InvalidRelation):
+        Relation(ground, (0b11,))
+    with pytest.raises(InvalidRelation):
+        TotalPreorder(ground, (0b01,))
+
+
 def test_relation_requires_reflexivity():
     with pytest.raises(ValueError):
         Relation(GroundSet(("a", "b")), (0b01, 0b01))

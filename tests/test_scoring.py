@@ -19,7 +19,6 @@ from preorder_bca import (
     to_total,
 )
 from preorder_bca import families
-from preorder_bca.completions import _maximal_completions
 
 
 def test_score_examples():
@@ -73,7 +72,7 @@ def test_index_general_matches_maximal_route():
     for base in (wx.example2_base(), wx.example3_base(),
                  wx.example5_base(), wx.example7_base(2)):
         over_maximal = max(index_total(c)
-                           for c in _maximal_completions(base, None, None))
+                           for c in enumerate_completions(base, "maximal"))
         assert index_general(base) == over_maximal
 
 
