@@ -28,7 +28,7 @@ from .core import (
     iter_bits,
     layers,
 )
-from .errors import NotACompletion, TooLarge
+from .errors import BadParameter, NotACompletion, TooLarge
 
 # Conservative guard defaults.  Fubini(9) is ~7.1e6 (the largest sweep any
 # acceptance target needs); the 355 preorders on four elements are the
@@ -88,7 +88,7 @@ class CompletionStream:
 
     def __post_init__(self):
         if self.which not in ("all", "maximal", "strict"):
-            raise ValueError(f"unknown completion filter: {self.which!r}")
+            raise BadParameter(f"unknown completion filter: {self.which!r}")
 
     def __iter__(self) -> Iterator[TotalPreorder]:
         return _completions(self.base, self.which, self.max_classes)

@@ -55,6 +55,8 @@ def parse_document(text: str) -> RelationDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError("JSON nests too deeply to parse") from exc
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object")
     try:
@@ -67,6 +69,12 @@ def parse_document(text: str) -> RelationDocument:
         raise DocumentError(f"schema must be a string, got {schema!r}")
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise DocumentError("labels must be a list of strings")
+    for label in labels:
+        try:
+            label.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DocumentError(f"label {label!r} is not valid Unicode text "
+                                f"(lone surrogate)") from exc
     if not isinstance(pairs, list):
         raise DocumentError("pairs must be a list of [i, j] index pairs")
     norm_pairs = []

@@ -39,8 +39,8 @@ class TooLarge(PreorderBcaError):
     """A size guard rejected the input before an infeasible sweep started."""
 
 
-class BadParameter(PreorderBcaError):
-    """A family generator received parameters outside its valid range."""
+class BadParameter(PreorderBcaError, ValueError):
+    """An operation received a parameter outside its valid range or set."""
 
 
 class ParameterMismatch(PreorderBcaError):

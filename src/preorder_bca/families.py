@@ -24,7 +24,6 @@ here are the contract.
 from __future__ import annotations
 
 from itertools import product
-from typing import Mapping
 
 from ._record import record
 from .core import GroundSet, Preorder, TotalPreorder, mask_of, preorder_from_predicate
@@ -256,6 +255,20 @@ def indifferent(n: int) -> Preorder:
     return preorder_from_predicate(_xlabels(n), lambda a, b: True)
 
 
+def chain_ordering(n: int) -> TotalPreorder:
+    """x1 over x2 over ... over xn; the answer paired with :func:`chain`,
+    which is already total."""
+    return TotalPreorder(GroundSet(tuple(_xlabels(n))),
+                         tuple(1 << i for i in range(n)))
+
+
+def one_block(n: int) -> TotalPreorder:
+    """Every element indifferent; the answer paired with :func:`equality`
+    and :func:`indifferent`."""
+    ground = GroundSet(tuple(_xlabels(n)))
+    return TotalPreorder(ground, (ground.full_mask,))
+
+
 def two_block(k: int) -> TotalPreorder:
     """Tops over bottoms; the unique maximal completion of fence and crown."""
     _check_even(k)
@@ -264,21 +277,18 @@ def two_block(k: int) -> TotalPreorder:
     return TotalPreorder(ground, (tops, ground.full_mask & ~tops))
 
 
-FAMILY_KINDS = (
-    "containment", "refinement", "word_prefix", "coordinatewise",
-    "fence", "crown", "chain", "equality", "indifferent",
-)
-
-_PARAM_NAMES = {
-    "containment": ("z",),
-    "refinement": ("z",),
-    "word_prefix": ("alphabet", "k"),
-    "coordinatewise": ("m",),
-    "fence": ("k",),
-    "crown": ("k",),
-    "chain": ("n",),
-    "equality": ("n",),
-    "indifferent": ("n",),
+# Every family by kind: its parameter names, its builder and its closed-form
+# best approximation.  Both callables take the parameters in the named order.
+FAMILIES = {
+    "containment": (("z",), containment_order, cardinality_ordering),
+    "refinement": (("z",), refinement_order, cell_count_ordering),
+    "word_prefix": (("alphabet", "k"), word_prefix_order, word_length_ordering),
+    "coordinatewise": (("m",), coordinatewise_order, sum_ordering),
+    "fence": (("k",), fence, two_block),
+    "crown": (("k",), crown, two_block),
+    "chain": (("n",), chain, chain_ordering),
+    "equality": (("n",), equality, one_block),
+    "indifferent": (("n",), indifferent, one_block),
 }
 
 
@@ -288,51 +298,25 @@ class FamilySpec:
     the answer has a closed form, the expected best approximation."""
 
     kind: str
-    params: Mapping[str, int]
+    params: dict[str, int]
 
     def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
-            raise BadParameter(f"unknown family kind: {self.kind!r}")
-        expected = _PARAM_NAMES[self.kind]
+        if self.kind not in FAMILIES:
+            raise BadParameter(f"unknown family kind: {self.kind!r}; known "
+                               f"kinds: {', '.join(FAMILIES)}")
+        expected = FAMILIES[self.kind][0]
         given = tuple(sorted(self.params))
         if given != tuple(sorted(expected)):
             raise BadParameter(f"{self.kind} takes parameters {expected}, "
                                f"got {given}")
         object.__setattr__(self, "params", dict(self.params))
 
+    def _args(self) -> list[int]:
+        return [self.params[name] for name in FAMILIES[self.kind][0]]
+
     def build(self) -> Preorder:
-        p = self.params
-        builders = {
-            "containment": lambda: containment_order(p["z"]),
-            "refinement": lambda: refinement_order(p["z"]),
-            "word_prefix": lambda: word_prefix_order(p["alphabet"], p["k"]),
-            "coordinatewise": lambda: coordinatewise_order(p["m"]),
-            "fence": lambda: fence(p["k"]),
-            "crown": lambda: crown(p["k"]),
-            "chain": lambda: chain(p["n"]),
-            "equality": lambda: equality(p["n"]),
-            "indifferent": lambda: indifferent(p["n"]),
-        }
-        return builders[self.kind]()
+        return FAMILIES[self.kind][1](*self._args())
 
     def expected_bca(self) -> TotalPreorder:
         """Closed-form best approximation for this family."""
-        p = self.params
-        answers = {
-            "containment": lambda: cardinality_ordering(p["z"]),
-            "refinement": lambda: cell_count_ordering(p["z"]),
-            "word_prefix": lambda: word_length_ordering(p["alphabet"], p["k"]),
-            "coordinatewise": lambda: sum_ordering(p["m"]),
-            "fence": lambda: two_block(p["k"]),
-            "crown": lambda: two_block(p["k"]),
-            "chain": lambda: TotalPreorder(
-                GroundSet(tuple(_xlabels(p["n"]))),
-                tuple(1 << i for i in range(p["n"]))),
-            "equality": lambda: TotalPreorder(
-                GroundSet(tuple(_xlabels(p["n"]))),
-                ((1 << p["n"]) - 1,)),
-            "indifferent": lambda: TotalPreorder(
-                GroundSet(tuple(_xlabels(p["n"]))),
-                ((1 << p["n"]) - 1,)),
-        }
-        return answers[self.kind]()
+        return FAMILIES[self.kind][2](*self._args())

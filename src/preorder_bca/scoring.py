@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ._record import record
 from .core import Preorder, TotalPreorder, down_set
-from .errors import EmptySequence
+from .errors import BadParameter, EmptySequence
 
 
 @record
@@ -24,7 +24,7 @@ class DyadicRational:
     def __post_init__(self):
         num, exp = self.numerator, self.exponent
         if exp < 0:
-            raise ValueError("exponent must be nonnegative")
+            raise BadParameter("exponent must be nonnegative")
         if num == 0:
             exp = 0
         else:
@@ -56,7 +56,7 @@ class DyadicRational:
 
     def as_integer(self) -> int:
         if self.exponent != 0:
-            raise ValueError(f"{self} is not an integer")
+            raise BadParameter(f"{self} is not an integer")
         return self.numerator
 
     def __lt__(self, other: "DyadicRational") -> bool:

@@ -137,6 +137,15 @@ def test_generate_families(capsys):
     assert code == 2
 
 
+def test_generate_unknown_family_lists_the_known_kinds(capsys):
+    code, out, err = run_cli(capsys, "generate", "bogus")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown family kind: 'bogus'")
+    for kind in ("containment", "word_prefix", "crown", "indifferent"):
+        assert kind in err
+
+
 @pytest.mark.parametrize("family, k", [("fence", "100"), ("crown", "66")])
 def test_generate_family_beyond_64_elements_exits_2(capsys, family, k):
     code, out, err = run_cli(capsys, "generate", family, "--k", k)
@@ -295,3 +304,29 @@ def test_bca_computes_condition_star_once(capsys, monkeypatch):
         code, _, _ = run_cli(capsys, "bca", fixture("ex5_base"), "--method", method)
         assert code == 0
         assert len(calls) == 1, method
+
+
+def test_deeply_nested_json_is_a_document_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, "check", str(deep))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_usage_errors_return_2_and_help_returns_0(capsys):
+    assert cli.main(["bca"]) == 2
+    assert capsys.readouterr().err.startswith("usage:")
+    assert cli.main(["generate", "--help"]) == 0
+    assert "family" in capsys.readouterr().out
+
+
+def test_lone_surrogate_label_is_a_document_error(tmp_path, capsys):
+    doc = tmp_path / "surrogate.json"
+    doc.write_text(json.dumps({"schema": "preorder-doc/1", "labels": ["\ud800"],
+                               "pairs": [], "reflexive_closure": True}))
+    code, out, err = run_cli(capsys, "dot", str(doc))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")

@@ -4,6 +4,7 @@ import pytest
 
 import worked_examples as wx
 from preorder_bca import (
+    BadParameter,
     GroundSet,
     NotACompletion,
     TooLarge,
@@ -211,6 +212,12 @@ def test_is_maximal_completion_rejects_non_completions():
         is_maximal_completion(flipped, chain)
     assert is_maximal_completion(to_total(families.indifferent(2)), eq)
     assert not is_maximal_completion(not_completion, eq)
+
+
+def test_unknown_completion_filter_raises_bad_parameter():
+    assert issubclass(BadParameter, ValueError)
+    with pytest.raises(BadParameter, match="unknown completion filter"):
+        enumerate_completions(families.chain(2), "maximum")
 
 
 def test_strict_completions():

@@ -19,6 +19,15 @@ from preorder_bca import (
 from preorder_bca import families
 
 
+def test_parse_rejects_deep_nesting_and_lone_surrogate_labels():
+    with pytest.raises(DocumentError, match="nests too deeply"):
+        parse_document("[" * 100_000)
+    text = json.dumps({"schema": "preorder-doc/1", "labels": ["a", "\ud800"],
+                       "pairs": []})
+    with pytest.raises(DocumentError, match="not valid Unicode"):
+        parse_document(text)
+
+
 def test_parse_minimal_document():
     doc = parse_document(json.dumps({
         "schema": "preorder-doc/1",

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 import worked_examples as wx
@@ -5,17 +7,21 @@ from preorder_bca import (
     BadParameter,
     FamilySpec,
     ParameterMismatch,
+    PreorderBcaError,
     TooLarge,
     bca_bruteforce,
     canonical_completion,
     condition_star,
     converse,
     hasse_edges,
+    is_completion,
     is_total,
     layers,
     to_total,
+    top_difference_direct,
 )
 from preorder_bca import families
+from preorder_bca.families import FAMILIES
 from preorder_bca.core import iter_bits
 
 
@@ -155,7 +161,7 @@ def test_family_spec():
     spec = FamilySpec("crown", {"k": 6})
     assert spec.expected_bca() == families.two_block(6)
 
-    with pytest.raises(BadParameter):
+    with pytest.raises(BadParameter, match="known kinds: containment, "):
         FamilySpec("mystery", {"z": 2})
     with pytest.raises(BadParameter):
         FamilySpec("containment", {"k": 2})
@@ -176,3 +182,45 @@ def test_prefix_orders_satisfy_condition_at_larger_sizes():
         p = families.word_prefix_order(alphabet, k)
         assert condition_star(p).verdict == "strict"
         assert canonical_completion(p) == families.word_length_ordering(alphabet, k)
+
+
+def _small_specs(kind, max_n=6):
+    """Every spec of ``kind`` with parameters in 1..6 whose order builds and
+    has at most ``max_n`` elements, smallest parameter sum first."""
+    names = FAMILIES[kind][0]
+    specs = []
+    for values in sorted(product(range(1, 7), repeat=len(names)), key=sum):
+        spec = FamilySpec(kind, dict(zip(names, values)))
+        try:
+            base = spec.build()
+        except PreorderBcaError:
+            continue
+        if base.n <= max_n:
+            specs.append((spec, base))
+    return specs
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_expected_bca_is_in_the_bruteforce_tie_set(kind):
+    specs = _small_specs(kind)
+    assert specs, kind
+    for spec, base in specs:
+        expected = spec.expected_bca()
+        assert expected.ground == base.ground
+        assert is_completion(expected, base), spec
+        report = bca_bruteforce(base)
+        assert expected in report.bca_set, spec
+        assert top_difference_direct(base, expected.as_preorder) == \
+            report.distance, spec
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_family_spec_rejects_missing_and_extra_parameters(kind):
+    names = FAMILIES[kind][0]
+    spec, _ = _small_specs(kind)[0]
+    with pytest.raises(BadParameter, match=f"{kind} takes parameters"):
+        FamilySpec(kind, {})
+    with pytest.raises(BadParameter, match=f"{kind} takes parameters"):
+        FamilySpec(kind, {name: spec.params[name] for name in names[1:]})
+    with pytest.raises(BadParameter, match=f"{kind} takes parameters"):
+        FamilySpec(kind, {**spec.params, "extra": 1})

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 import worked_examples as wx
 from preorder_bca import (
+    BadParameter,
     DyadicRational,
     EmptySequence,
     GroundSet,
@@ -104,6 +105,13 @@ def test_dyadic_arithmetic():
     assert str(DyadicRational(7, 2)) == "7/2^2"
     with pytest.raises(ValueError):
         DyadicRational(3, 1).as_integer()
+
+
+def test_dyadic_misuse_raises_bad_parameter():
+    with pytest.raises(BadParameter):
+        DyadicRational(1, -1)
+    with pytest.raises(BadParameter):
+        DyadicRational(1, 1).as_integer()
 
 
 def test_normalized_index_examples():
