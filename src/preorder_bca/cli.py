@@ -27,20 +27,20 @@ from .core import (
     Preorder,
     Relation,
     incomparable_witness,
-    relation_violations,
-    validate_preorder,
+    transitive_closure_rows,
 )
 from .documents import (
     RelationDocument,
     document_from_relation,
     document_from_total,
+    document_payload,
     document_to_json,
-    document_to_relation,
+    document_to_preorder,
     parse_document,
     render_dot,
-    transitive_closure_rows,
 )
-from .errors import BadParameter, DocumentError, PreorderBcaError, TooLarge
+from .errors import (BadParameter, DocumentError, PreorderBcaError, TooLarge,
+                     ViolationError)
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
@@ -66,7 +66,7 @@ def _read_document(path: str) -> RelationDocument:
 
 
 def _load_preorder(path: str) -> Preorder:
-    return validate_preorder(document_to_relation(_read_document(path)))
+    return document_to_preorder(_read_document(path))
 
 
 def _strict_sep(args) -> str:
@@ -101,22 +101,19 @@ def _report_json(report: ApproximationReport, verdict: str | None) -> str:
         "condition_star": verdict,
         "indices": [str(i) for i in report.indices],
         "candidates": [
-            json.loads(document_to_json(document_from_total(c)))
-            for c in report.bca_set
+            document_payload(document_from_total(c)) for c in report.bca_set
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
 def cmd_check(args) -> int:
-    doc = _read_document(args.file)
-    rel = document_to_relation(doc)
-    witnesses = relation_violations(rel)
-    if witnesses:
-        for w in witnesses:
+    try:
+        preorder = document_to_preorder(_read_document(args.file))
+    except ViolationError as exc:
+        for w in exc.witnesses:
             print("violation:", " ".join(str(t) for t in w))
         return EXIT_SEMANTIC
-    preorder = Preorder(rel.ground, rel.rows)
     if args.total:
         pair = incomparable_witness(preorder)
         if pair is not None:
@@ -261,9 +258,9 @@ def cmd_generate(args) -> int:
     if args.expected_bca:
         payload = {
             "schema": "family-pair/1",
-            "family": json.loads(document_to_json(doc)),
-            "expected_bca": json.loads(
-                document_to_json(document_from_total(spec.expected_bca()))),
+            "family": document_payload(doc),
+            "expected_bca": document_payload(
+                document_from_total(spec.expected_bca())),
         }
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
@@ -288,8 +285,7 @@ def cmd_covering_radius(args) -> int:
             "schema": "covering-radius/1",
             "n": args.n,
             "radius": report.radius,
-            "witness": json.loads(
-                document_to_json(document_from_relation(report.witness))),
+            "witness": document_payload(document_from_relation(report.witness)),
         }
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:

@@ -110,9 +110,8 @@ class Relation:
 class Preorder(Relation):
     """A Relation that passed reflexivity + transitivity validation.
 
-    Construct via :func:`validate_preorder` (or the helpers below); the
-    constructor itself re-checks transitivity so an invalid Preorder cannot
-    exist.
+    The constructor checks transitivity, so an invalid Preorder cannot exist;
+    :func:`validate_preorder` builds one and reports every witness on failure.
     """
 
     def __post_init__(self):
@@ -164,29 +163,29 @@ def _transitivity_witnesses(rows, first_only=False):
 
 
 def relation_violations(rel: Relation) -> list[tuple]:
-    """Every reflexivity/transitivity witness of ``rel`` (empty if valid).
-
-    Reflexivity witnesses cannot actually occur for a constructed
-    :class:`Relation` (its invariant already demands them); they are reported
-    for raw rows checked through :func:`rows_violations`.
-    """
-    return rows_violations(rel.rows)
-
-
-def rows_violations(rows) -> list[tuple]:
-    witnesses: list[tuple] = [
-        ("reflexivity", i) for i, row in enumerate(rows) if not (row >> i) & 1
-    ]
-    witnesses.extend(_transitivity_witnesses(rows))
-    return witnesses
+    """Every transitivity witness of ``rel`` (empty if it is a preorder);
+    reflexivity is already the :class:`Relation` invariant."""
+    return _transitivity_witnesses(rel.rows)
 
 
 def validate_preorder(rel: Relation) -> Preorder:
     """Return ``rel`` as a Preorder or raise ViolationError with all witnesses."""
-    witnesses = relation_violations(rel)
-    if witnesses:
-        raise ViolationError(witnesses)
-    return Preorder(rel.ground, rel.rows)
+    try:
+        return Preorder(rel.ground, rel.rows)
+    except ViolationError:
+        raise ViolationError(relation_violations(rel)) from None
+
+
+def transitive_closure_rows(rows: list[Mask]) -> list[Mask]:
+    """Warshall's transitive closure of incidence rows (a new list)."""
+    n = len(rows)
+    rows = list(rows)
+    for k in range(n):
+        bit = 1 << k
+        for i in range(n):
+            if rows[i] & bit:
+                rows[i] |= rows[k]
+    return rows
 
 
 def relation_from_pairs(labels, pairs) -> Relation:

@@ -9,6 +9,7 @@ two-space indent, trailing newline.
 from __future__ import annotations
 
 import json
+import reprlib
 
 from ._record import record
 from .core import (
@@ -19,11 +20,22 @@ from .core import (
     hasse_edges,
     indifference_classes,
     class_label,
+    transitive_closure_rows,
     validate_preorder,
 )
 from .errors import DocumentError, InvalidRelation
 
 SCHEMA = "preorder-doc/1"
+
+_repr = reprlib.Repr()
+_repr.maxstring = 60
+
+
+def _short(value) -> str:
+    """repr of an offending input value for an error message: short values
+    keep their repr, large or deeply nested ones are cut to 80 characters."""
+    text = _repr.repr(value)
+    return text if len(text) <= 80 else text[:40] + "..." + text[-37:]
 
 
 @record
@@ -36,7 +48,7 @@ class RelationDocument:
 
     def __post_init__(self):
         if self.schema != SCHEMA:
-            raise DocumentError(f"unsupported schema: {self.schema!r}")
+            raise DocumentError(f"unsupported schema: {_short(self.schema)}")
         if not self.labels:
             raise DocumentError("document needs at least one label")
         if len(set(self.labels)) != len(self.labels):
@@ -45,7 +57,7 @@ class RelationDocument:
         for pair in self.pairs:
             i, j = pair
             if not (0 <= i < n and 0 <= j < n):
-                raise DocumentError(f"pair {pair!r} is out of range for "
+                raise DocumentError(f"pair {_short(pair)} is out of range for "
                                     f"{n} labels")
 
 
@@ -53,7 +65,7 @@ def parse_document(text: str) -> RelationDocument:
     """Parse JSON text into a document; raises DocumentError on any defect."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long
         raise DocumentError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise DocumentError("JSON nests too deeply to parse") from exc
@@ -66,14 +78,14 @@ def parse_document(text: str) -> RelationDocument:
     except KeyError as exc:
         raise DocumentError(f"missing document field: {exc}") from exc
     if not isinstance(schema, str):
-        raise DocumentError(f"schema must be a string, got {schema!r}")
+        raise DocumentError(f"schema must be a string, got {_short(schema)}")
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise DocumentError("labels must be a list of strings")
     for label in labels:
         try:
             label.encode("utf-8")
         except UnicodeEncodeError as exc:
-            raise DocumentError(f"label {label!r} is not valid Unicode text "
+            raise DocumentError(f"label {_short(label)} is not valid Unicode text "
                                 f"(lone surrogate)") from exc
     if not isinstance(pairs, list):
         raise DocumentError("pairs must be a list of [i, j] index pairs")
@@ -81,7 +93,7 @@ def parse_document(text: str) -> RelationDocument:
     for pair in pairs:
         if (not isinstance(pair, list) or len(pair) != 2
                 or not all(isinstance(t, int) and not isinstance(t, bool) for t in pair)):
-            raise DocumentError(f"bad pair entry: {pair!r}")
+            raise DocumentError(f"bad pair entry: {_short(pair)}")
         norm_pairs.append((pair[0], pair[1]))
     return RelationDocument(
         labels=tuple(labels),
@@ -95,30 +107,23 @@ def parse_document(text: str) -> RelationDocument:
 def _flag(raw: dict, name: str) -> bool:
     value = raw.get(name, False)
     if not isinstance(value, bool):
-        raise DocumentError(f"{name} must be true or false, got {value!r}")
+        raise DocumentError(f"{name} must be true or false, got {_short(value)}")
     return value
 
 
-def document_to_json(doc: RelationDocument) -> str:
-    payload = {
+def document_payload(doc: RelationDocument) -> dict:
+    """The document as the JSON object it is written as."""
+    return {
         "schema": doc.schema,
         "labels": list(doc.labels),
         "pairs": [list(p) for p in doc.pairs],
         "reflexive_closure": doc.reflexive_closure,
         "transitive_closure": doc.transitive_closure,
     }
-    return json.dumps(payload, indent=2) + "\n"
 
 
-def transitive_closure_rows(rows: list[int]) -> list[int]:
-    n = len(rows)
-    rows = list(rows)
-    for k in range(n):
-        bit = 1 << k
-        for i in range(n):
-            if rows[i] & bit:
-                rows[i] |= rows[k]
-    return rows
+def document_to_json(doc: RelationDocument) -> str:
+    return json.dumps(document_payload(doc), indent=2) + "\n"
 
 
 def document_to_relation(doc: RelationDocument) -> Relation:

@@ -52,11 +52,10 @@ class DocumentError(PreorderBcaError):
 
 
 class ViolationError(PreorderBcaError):
-    """Validation failed; carries every reflexivity/transitivity witness.
+    """Validation failed; carries every transitivity witness.
 
-    Each witness is either ``("reflexivity", i)`` or
-    ``("transitivity", i, j, k)`` with the usual meaning that i >= j and
-    j >= k hold while i >= k does not.
+    Each witness is ``("transitivity", i, j, k)``: i >= j and j >= k hold
+    while i >= k does not.
     """
 
     def __init__(self, witnesses):

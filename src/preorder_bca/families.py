@@ -26,8 +26,24 @@ from __future__ import annotations
 from itertools import product
 
 from ._record import record
-from .core import GroundSet, Preorder, TotalPreorder, mask_of, preorder_from_predicate
+from .core import (
+    MAX_GROUND,
+    GroundSet,
+    Preorder,
+    TotalPreorder,
+    mask_of,
+    transitive_closure_rows,
+)
 from .errors import BadParameter, ParameterMismatch, TooLarge
+
+
+def _ranked(ground: GroundSet, scores) -> TotalPreorder:
+    """The total preorder ranking the elements by score, highest on top."""
+    blocks: dict = {}
+    for i, score in enumerate(scores):
+        blocks[score] = blocks.get(score, 0) | 1 << i
+    return TotalPreorder(ground, tuple(blocks[score] for score
+                                       in sorted(blocks, reverse=True)))
 
 
 def _letters(z: int) -> list[str]:
@@ -47,11 +63,9 @@ def containment_order(z: int) -> Preorder:
     """A >= B iff A contains B, over all subsets of a z-element set."""
     if not 1 <= z <= 6:
         raise TooLarge("containment ground set is 2^z; z must be in 1..6")
-    masks = {label: m for m, label in enumerate(_subset_labels(z))}
-    return preorder_from_predicate(
-        _subset_labels(z),
-        lambda a, b: masks[b] & ~masks[a] == 0,
-    )
+    size = 1 << z
+    rows = [mask_of(b for b in range(size) if b & ~a == 0) for a in range(size)]
+    return Preorder(GroundSet(tuple(_subset_labels(z))), tuple(rows))
 
 
 def cardinality_ordering(z: int) -> TotalPreorder:
@@ -59,11 +73,8 @@ def cardinality_ordering(z: int) -> TotalPreorder:
     with :func:`containment_order`."""
     if not 1 <= z <= 6:
         raise ParameterMismatch("cardinality ordering takes z in 1..6")
-    ground = GroundSet(tuple(_subset_labels(z)))
-    blocks = [0] * (z + 1)
-    for m in range(1 << z):
-        blocks[z - m.bit_count()] |= 1 << m
-    return TotalPreorder(ground, tuple(blocks))
+    return _ranked(GroundSet(tuple(_subset_labels(z))),
+                   [m.bit_count() for m in range(1 << z)])
 
 
 def _partitions(z: int) -> list[tuple[frozenset[str], ...]]:
@@ -97,13 +108,11 @@ def refinement_order(z: int) -> Preorder:
     if not 1 <= z <= 5:
         raise TooLarge("refinement ground set is Bell(z); z must be in 1..5")
     parts = _partitions(z)
-    by_label = {_partition_label(p): p for p in parts}
-
-    def coarser(a: str, b: str) -> bool:
-        sa, tb = by_label[a], by_label[b]
-        return all(any(t <= s for s in sa) for t in tb)
-
-    return preorder_from_predicate([_partition_label(p) for p in parts], coarser)
+    rows = [mask_of(j for j, fine in enumerate(parts)
+                    if all(any(cell <= big for big in coarse) for cell in fine))
+            for coarse in parts]
+    return Preorder(GroundSet(tuple(_partition_label(p) for p in parts)),
+                    tuple(rows))
 
 
 def cell_count_ordering(z: int) -> TotalPreorder:
@@ -112,11 +121,8 @@ def cell_count_ordering(z: int) -> TotalPreorder:
     if not 1 <= z <= 5:
         raise ParameterMismatch("cell-count ordering takes z in 1..5")
     parts = _partitions(z)
-    ground = GroundSet(tuple(_partition_label(p) for p in parts))
-    blocks = [0] * z
-    for i, p in enumerate(parts):
-        blocks[len(p) - 1] |= 1 << i
-    return TotalPreorder(ground, tuple(b for b in blocks if b))
+    return _ranked(GroundSet(tuple(_partition_label(p) for p in parts)),
+                   [-len(p) for p in parts])
 
 
 def _words(alphabet: int, k: int) -> list[str]:
@@ -130,15 +136,23 @@ def _words(alphabet: int, k: int) -> list[str]:
 def _check_word_params(alphabet: int, k: int) -> None:
     if alphabet < 1 or k < 1:
         raise BadParameter("alphabet size and maximum length must be positive")
-    total = sum(alphabet ** i for i in range(1, k + 1))
-    if total > 64:
-        raise TooLarge(f"word ground set has {total} elements; cap is 64")
+    # stop counting at the cap: a large k would otherwise cost k big powers
+    total = 0
+    for length in range(1, k + 1):
+        total += alphabet ** length
+        if total > MAX_GROUND:
+            raise TooLarge(f"words over {alphabet} letters up to length {k} "
+                           f"exceed the cap of {MAX_GROUND} elements")
 
 
 def word_prefix_order(alphabet: int, k: int) -> Preorder:
     """x >= y iff y is an initial substring of x (longer words on top)."""
     _check_word_params(alphabet, k)
-    return preorder_from_predicate(_words(alphabet, k), lambda a, b: a.startswith(b))
+    words = _words(alphabet, k)
+    index = {w: i for i, w in enumerate(words)}
+    rows = [mask_of(index[w[:length]] for length in range(1, len(w) + 1))
+            for w in words]
+    return Preorder(GroundSet(tuple(words)), tuple(rows))
 
 
 def word_length_ordering(alphabet: int, k: int) -> TotalPreorder:
@@ -146,28 +160,23 @@ def word_length_ordering(alphabet: int, k: int) -> TotalPreorder:
     with :func:`word_prefix_order`."""
     _check_word_params(alphabet, k)
     words = _words(alphabet, k)
-    ground = GroundSet(tuple(words))
-    blocks = [0] * k
-    for i, w in enumerate(words):
-        blocks[k - len(w)] |= 1 << i
-    return TotalPreorder(ground, tuple(b for b in blocks if b))
+    return _ranked(GroundSet(tuple(words)), map(len, words))
 
 
-def _grid_labels(m: int) -> list[str]:
-    return [f"({i},{j})" for i in range(1, m + 1) for j in range(1, m + 1)]
+def _grid(m: int) -> tuple[list[tuple[int, int]], GroundSet]:
+    points = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
+    return points, GroundSet(tuple(f"({i},{j})" for i, j in points))
 
 
 def coordinatewise_order(m: int) -> Preorder:
     """Product order on the m-by-m grid of 1-based integer pairs."""
     if m < 1 or m * m > 64:
         raise TooLarge("grid has m^2 elements; m must be in 1..8")
-
-    def ge(a: str, b: str) -> bool:
-        a1, a2 = (int(t) for t in a.strip("()").split(","))
-        b1, b2 = (int(t) for t in b.strip("()").split(","))
-        return a1 >= b1 and a2 >= b2
-
-    return preorder_from_predicate(_grid_labels(m), ge)
+    points, ground = _grid(m)
+    rows = [mask_of(idx for idx, (b1, b2) in enumerate(points)
+                    if a1 >= b1 and a2 >= b2)
+            for a1, a2 in points]
+    return Preorder(ground, tuple(rows))
 
 
 def sum_ordering(m: int) -> TotalPreorder:
@@ -175,33 +184,25 @@ def sum_ordering(m: int) -> TotalPreorder:
     answer paired with :func:`coordinatewise_order`."""
     if m < 1 or m * m > 64:
         raise ParameterMismatch("sum ordering takes m in 1..8")
-    labels = _grid_labels(m)
-    ground = GroundSet(tuple(labels))
-    blocks: dict[int, int] = {}
-    for idx, label in enumerate(labels):
-        i, j = (int(t) for t in label.strip("()").split(","))
-        blocks.setdefault(-(i + j), 0)
-        blocks[-(i + j)] |= 1 << idx
-    return TotalPreorder(ground, tuple(blocks[key] for key in sorted(blocks)))
+    points, ground = _grid(m)
+    return _ranked(ground, [i + j for i, j in points])
 
 
-def _xlabels(n: int) -> list[str]:
-    return [f"x{i}" for i in range(1, n + 1)]
+def _xground(n: int) -> GroundSet:
+    # checked before the labels are built, so a huge n costs nothing
+    if not 1 <= n <= MAX_GROUND:
+        raise BadParameter(f"ground set size must be in 1..{MAX_GROUND}, "
+                           f"got {n}")
+    return GroundSet(tuple(f"x{i}" for i in range(1, n + 1)))
 
 
-def _closure_from_covers(n: int, covers: list[tuple[int, int]]) -> Preorder:
-    # covers are (upper, lower) 0-based index pairs
+def _closure_from_covers(n: int, covers) -> Preorder:
+    # covers are (upper, lower) 0-based index pairs, read after the size check
+    ground = _xground(n)
     rows = [1 << i for i in range(n)]
     for i, j in covers:
         rows[i] |= 1 << j
-    for k in range(n):
-        for i in range(n):
-            if (rows[i] >> k) & 1:
-                rows[i] |= rows[k]
-    return preorder_from_predicate(
-        _xlabels(n),
-        lambda a, b: (rows[int(a[1:]) - 1] >> (int(b[1:]) - 1)) & 1 == 1,
-    )
+    return Preorder(ground, tuple(transitive_closure_rows(rows)))
 
 
 def _check_even(k: int) -> None:
@@ -212,12 +213,9 @@ def _check_even(k: int) -> None:
 def fence(k: int) -> Preorder:
     """Zigzag poset x1 < x2 > x3 < x4 ... on k elements."""
     _check_even(k)
-    covers = []
-    for top in range(1, k, 2):  # 0-based even positions are bottoms
-        covers.append((top, top - 1))
-        if top + 1 < k:
-            covers.append((top, top + 1))
-    return _closure_from_covers(k, covers)
+    # 0-based odd positions are tops, each above its one or two neighbours
+    return _closure_from_covers(k, ((top, low) for top in range(1, k, 2)
+                                    for low in (top - 1, top + 1) if low < k))
 
 
 def crown(k: int) -> Preorder:
@@ -225,54 +223,43 @@ def crown(k: int) -> Preorder:
     a cyclically shifted partner."""
     _check_even(k)
     half = k // 2
-    covers = []
-    for b in range(half):
-        bottom = 2 * b
-        for t in range(half):
-            top = 2 * t + 1
-            if t != (b + 1) % half:  # skip the partner top
-                covers.append((top, bottom))
-    return _closure_from_covers(k, covers)
+    return _closure_from_covers(k, ((2 * t + 1, 2 * b)
+                                    for b in range(half) for t in range(half)
+                                    if t != (b + 1) % half))  # skip the partner
 
 
 def chain(n: int) -> Preorder:
     """Linear order with x1 on top."""
-    if n < 1:
-        raise BadParameter("chain size must be positive")
-    return _closure_from_covers(n, [(i, i + 1) for i in range(n - 1)])
+    return _closure_from_covers(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def equality(n: int) -> Preorder:
-    if n < 1:
-        raise BadParameter("ground set size must be positive")
-    return _closure_from_covers(n, [])
+    return _closure_from_covers(n, ())
 
 
 def indifferent(n: int) -> Preorder:
     """The everywhere-indifferent relation."""
-    if n < 1:
-        raise BadParameter("ground set size must be positive")
-    return preorder_from_predicate(_xlabels(n), lambda a, b: True)
+    ground = _xground(n)
+    return Preorder(ground, (ground.full_mask,) * n)
 
 
 def chain_ordering(n: int) -> TotalPreorder:
     """x1 over x2 over ... over xn; the answer paired with :func:`chain`,
     which is already total."""
-    return TotalPreorder(GroundSet(tuple(_xlabels(n))),
-                         tuple(1 << i for i in range(n)))
+    return TotalPreorder(_xground(n), tuple(1 << i for i in range(n)))
 
 
 def one_block(n: int) -> TotalPreorder:
     """Every element indifferent; the answer paired with :func:`equality`
     and :func:`indifferent`."""
-    ground = GroundSet(tuple(_xlabels(n)))
+    ground = _xground(n)
     return TotalPreorder(ground, (ground.full_mask,))
 
 
 def two_block(k: int) -> TotalPreorder:
     """Tops over bottoms; the unique maximal completion of fence and crown."""
     _check_even(k)
-    ground = GroundSet(tuple(_xlabels(k)))
+    ground = _xground(k)
     tops = mask_of(range(1, k, 2))
     return TotalPreorder(ground, (tops, ground.full_mask & ~tops))
 

@@ -19,17 +19,13 @@ from __future__ import annotations
 
 from . import _backend, _kernels_py
 from ._record import record
-from .core import Mask, Preorder, TotalPreorder, maximal_elements
-from .errors import EmptySubset, GroundMismatch, TooLarge
+from .core import (Mask, Preorder, TotalPreorder, _require_same_ground,
+                   maximal_elements)
+from .errors import EmptySubset, TooLarge
 
 MAX_DIRECT_N = 20
 _WORD_SAFE_N = 57  # n * 2^n < 2^63 for all n <= 57
 MAX_STRICT_OPT_N = 5
-
-
-def _require_same_ground(p: Preorder, q: Preorder) -> None:
-    if p.ground.labels != q.ground.labels:
-        raise GroundMismatch("metric arguments live on different ground sets")
 
 
 @record

@@ -1,10 +1,15 @@
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import preorder_bca
 from preorder_bca import cli, parse_document
+from preorder_bca._backend import available_backends
 from preorder_bca.documents import document_to_json
 from conftest import random_preorder
 
@@ -330,3 +335,67 @@ def test_lone_surrogate_label_is_a_document_error(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error:")
+
+
+def _doc_text(**fields):
+    doc = {"schema": "preorder-doc/1", "labels": ["a", "b"], "pairs": []}
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+def run_process(*argv, **env):
+    """Run the CLI in a fresh process, as a user does; ``env`` adds variables."""
+    src = str(pathlib.Path(preorder_bca.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "preorder_bca.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": path, **env},
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("text, message", [
+    # 950 levels parse in a fresh process and reach the pair check; about
+    # 990 run the parser out of stack first (the "nests too deeply" error)
+    (_doc_text(pairs=[[0, "N"]]).replace('"N"', "[" * 950 + "]" * 950),
+     "bad pair entry"),
+    (_doc_text(schema="x" * 10_000), "unsupported schema"),
+    (_doc_text(schema=[["x" * 1000] * 6] * 6), "schema must be a string"),
+    (_doc_text(labels=["\ud800" * 5000]), "not valid Unicode"),
+    (_doc_text(reflexive_closure=list(range(10_000))), "reflexive_closure must"),
+    (_doc_text(pairs=[[0, int("9" * 4000)]]), "out of range"),
+    (_doc_text(pairs=[[0, "N"]]).replace('"N"', "9" * 5000), "invalid JSON"),
+], ids=["nested-pair", "long-schema", "wide-schema", "long-label",
+        "long-flag", "huge-index", "over-long-integer"])
+def test_offending_values_give_one_short_error_line(tmp_path, text, message):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    proc = run_process("check", str(path))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 200, proc.stderr
+    assert lines[0].startswith("error:") and message in lines[0]
+
+
+def test_short_offending_values_keep_their_repr(tmp_path, capsys):
+    for text, shown in ((_doc_text(schema="preorder-doc/2"), "'preorder-doc/2'"),
+                        (_doc_text(pairs=[[0, "b"]]), "[0, 'b']"),
+                        (_doc_text(pairs=[[0, 2]]), "(0, 2)"),
+                        (_doc_text(transitive_closure=1), "got 1")):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "check", str(path))
+        assert code == 3 and shown in err, err
+
+
+@pytest.mark.parametrize("value", ["bogus", "c"])
+def test_backend_variable_errors_exit_2_without_traceback(value):
+    if value in available_backends():
+        pytest.skip("the compiled kernels are built")
+    proc = run_process("metric", fixture("ex1_base"), fixture("ex1_base"),
+                       PREORDER_BCA_BACKEND=value)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    if value == "bogus":
+        assert "auto, c or python" in lines[0]

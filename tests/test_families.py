@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -6,9 +7,12 @@ import worked_examples as wx
 from preorder_bca import (
     BadParameter,
     FamilySpec,
+    GroundSet,
     ParameterMismatch,
     PreorderBcaError,
+    Relation,
     TooLarge,
+    ViolationError,
     bca_bruteforce,
     canonical_completion,
     condition_star,
@@ -17,8 +21,10 @@ from preorder_bca import (
     is_completion,
     is_total,
     layers,
+    preorder_from_predicate,
     to_total,
     top_difference_direct,
+    validate_preorder,
 )
 from preorder_bca import families
 from preorder_bca.families import FAMILIES
@@ -224,3 +230,180 @@ def test_family_spec_rejects_missing_and_extra_parameters(kind):
         FamilySpec(kind, {name: spec.params[name] for name in names[1:]})
     with pytest.raises(BadParameter, match=f"{kind} takes parameters"):
         FamilySpec(kind, {**spec.params, "extra": 1})
+
+
+# -- oracles ------------------------------------------------------------------
+# The families build their rows from the structure they enumerate (subset
+# masks, partitions, grid points, words, cover pairs).  These oracles build
+# the same orders independently: they render the labels here and read them
+# back through a label-level predicate.
+
+# the library's letters run on past "z" in code-point order ("{", "|", ...)
+_LETTERS = "".join(chr(ord("a") + i) for i in range(64))
+
+
+def _oracle_containment(z):
+    labels = ["{" + ",".join(_LETTERS[i] for i in range(z) if (m >> i) & 1) + "}"
+              for m in range(1 << z)]
+
+    def members(label):
+        return set(filter(None, label.strip("{}").split(",")))
+
+    return preorder_from_predicate(labels, lambda a, b: members(b) <= members(a))
+
+
+def _oracle_refinement(z):
+    # restricted growth strings in lexicographic order; cell c of a string
+    # holds the positions labelled c, so cells come by smallest member
+    labels = []
+    for rgs in product(range(z), repeat=z):
+        if all(rgs[i] <= max(rgs[:i], default=-1) + 1 for i in range(z)):
+            labels.append("|".join(
+                "".join(_LETTERS[i] for i in range(z) if rgs[i] == c)
+                for c in range(max(rgs) + 1)))
+
+    def coarser(a, b):
+        return all(any(set(t) <= set(s) for s in a.split("|"))
+                   for t in b.split("|"))
+
+    return preorder_from_predicate(labels, coarser)
+
+
+def _oracle_word_prefix(alphabet, k):
+    labels = ["".join(w) for length in range(1, k + 1)
+              for w in product(_LETTERS[:alphabet], repeat=length)]
+    return preorder_from_predicate(labels, lambda a, b: a.startswith(b))
+
+
+def _oracle_coordinatewise(m):
+    labels = [f"({i},{j})" for i in range(1, m + 1) for j in range(1, m + 1)]
+
+    def ge(a, b):
+        a1, a2 = (int(t) for t in a.strip("()").split(","))
+        b1, b2 = (int(t) for t in b.strip("()").split(","))
+        return a1 >= b1 and a2 >= b2
+
+    return preorder_from_predicate(labels, ge)
+
+
+def _oracle_covers(n, covers):
+    # covers are 1-based (upper, lower) pairs; x_i >= x_j iff j is reached
+    # from i by walking down covers
+    below = {i: [lo for hi, lo in covers if hi == i] for i in range(1, n + 1)}
+
+    def reach(i):
+        seen, stack = {i}, [i]
+        while stack:
+            for j in below[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        return seen
+
+    down = {i: reach(i) for i in range(1, n + 1)}
+    return preorder_from_predicate(
+        [f"x{i}" for i in range(1, n + 1)],
+        lambda a, b: int(b[1:]) in down[int(a[1:])])
+
+
+def _oracle_fence(k):
+    tops = range(2, k + 1, 2)
+    return _oracle_covers(k, [(t, t + d) for t in tops for d in (-1, 1)
+                              if t + d <= k])
+
+
+def _oracle_crown(k):
+    half = k // 2
+    return _oracle_covers(k, [(2 * t, 2 * b - 1)
+                              for b in range(1, half + 1)
+                              for t in range(1, half + 1)
+                              if t != b % half + 1])
+
+
+ORACLES = {
+    "containment": (_oracle_containment, [(z,) for z in range(1, 7)]),
+    "refinement": (_oracle_refinement, [(z,) for z in range(1, 6)]),
+    "word_prefix": (_oracle_word_prefix,
+                    [(a, k) for a in range(1, 65) for k in range(1, 65)
+                     if sum(a ** i for i in range(1, k + 1)) <= 64]),
+    "coordinatewise": (_oracle_coordinatewise, [(m,) for m in range(1, 9)]),
+    "fence": (_oracle_fence, [(k,) for k in range(4, 65, 2)]),
+    "crown": (_oracle_crown, [(k,) for k in range(4, 65, 2)]),
+    "chain": (lambda n: _oracle_covers(n, [(i, i + 1) for i in range(1, n)]),
+              [(n,) for n in range(1, 65)]),
+    "equality": (lambda n: _oracle_covers(n, []), [(n,) for n in range(1, 65)]),
+    "indifferent": (lambda n: preorder_from_predicate(
+        [f"x{i}" for i in range(1, n + 1)], lambda a, b: True),
+        [(n,) for n in range(1, 65)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_family_rows_match_the_label_predicate_oracle(kind):
+    oracle, grid = ORACLES[kind]
+    names = FAMILIES[kind][0]
+    for values in grid:
+        spec = FamilySpec(kind, dict(zip(names, values)))
+        built, expected = spec.build(), oracle(*values)
+        assert built.ground.labels == expected.ground.labels, spec
+        assert built.rows == expected.rows, spec
+        # the closed forms are the canonical completions of these families
+        assert spec.expected_bca() == canonical_completion(expected), spec
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("refinement", {"z": 6}),
+    ("coordinatewise", {"m": 9}), ("word_prefix", {"alphabet": 2, "k": 6}),
+    ("word_prefix", {"alphabet": 1, "k": 65}),
+    ("word_prefix", {"alphabet": 2, "k": 10 ** 9}),
+])
+def test_family_caps_refuse_too_large_orders(kind, params):
+    with pytest.raises(TooLarge):
+        FamilySpec(kind, params).build()
+
+
+@pytest.mark.parametrize("kind", ["fence", "crown", "chain", "equality",
+                                  "indifferent"])
+def test_family_ground_cap_is_checked_before_building(kind):
+    # 10**9 elements would need gigabytes if the labels or covers were built
+    param = FAMILIES[kind][0][0]
+    for size in (66, 10 ** 9):
+        with pytest.raises(BadParameter, match="must be in 1..64"):
+            FamilySpec(kind, {param: size}).build()
+
+
+def _oracle_witnesses(rows):
+    # for each i, then each k with i >= k missing, the smallest j with
+    # i >= j >= k
+    n = len(rows)
+    witnesses = []
+    for i in range(n):
+        for k in range(n):
+            if (rows[i] >> k) & 1:
+                continue
+            js = [j for j in range(n) if (rows[i] >> j) & 1 and (rows[j] >> k) & 1]
+            if js:
+                witnesses.append(("transitivity", i, js[0], k))
+    return witnesses
+
+
+def test_validate_preorder_reports_every_witness_in_order():
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(200):
+        n = rng.randint(3, 7)
+        rows = tuple((1 << i) | rng.getrandbits(n) for i in range(n))
+        expected = _oracle_witnesses(rows)
+        rel = Relation(GroundSet(tuple(f"x{i}" for i in range(n))), rows)
+        if not expected:
+            assert validate_preorder(rel).rows == rows
+            continue
+        with pytest.raises(ViolationError) as info:
+            validate_preorder(rel)
+        assert list(info.value.witnesses) == expected
+        checked += 1
+    assert checked > 100
+    broken = Relation(GroundSet(("a", "b", "c")), (0b011, 0b110, 0b100))
+    with pytest.raises(ViolationError) as info:
+        validate_preorder(broken)
+    assert info.value.witnesses == (("transitivity", 0, 1, 2),)

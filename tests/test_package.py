@@ -1,9 +1,11 @@
 """Package surface: lazy public names, what the CLI imports at start-up, and
 the frozen-record semantics of the public value classes."""
 
+import argparse
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -20,8 +22,20 @@ from preorder_bca import (
     ViolationError,
     to_total,
 )
+from preorder_bca.cli import build_parser
 
 SRC = str(pathlib.Path(preorder_bca.__file__).resolve().parents[1])
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "tests" / "data" / "fixtures"
+
+
+def _run_python(script: str, *argv: str) -> str:
+    """stdout of ``script`` run in a fresh interpreter on this package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"]
+                               if env.get("PYTHONPATH") else "")
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, check=True).stdout
 
 
 def test_cli_import_loads_no_solver_stack():
@@ -31,17 +45,69 @@ def test_cli_import_loads_no_solver_stack():
         "import preorder_bca.cli\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"]
-                               if env.get("PYTHONPATH") else "")
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, check=True)
-    loaded = set(json.loads(proc.stdout))
+    loaded = set(json.loads(_run_python(script)))
     assert "preorder_bca.cli" in loaded
     for heavy in ("dataclasses", "preorder_bca.solver", "preorder_bca.families",
                   "preorder_bca.scoring", "preorder_bca.metrics",
                   "preorder_bca.completions"):
         assert heavy not in loaded, heavy
+
+
+def _readme_load_table() -> dict[str, set[str]]:
+    """README's "What each subcommand loads" table: subcommand -> modules."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| subcommand | modules added on top |")
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        commands, modules = line.strip("|").split("|")
+        for command in re.findall(r"`([^`]+)`", commands):
+            table[command] = set(re.findall(r"`([^`]+)`", modules))
+    return table
+
+
+# One run of each subcommand on a fixture; the modules every process loads
+# come with ``import preorder_bca.cli`` and are not listed in the table.
+_SUBCOMMAND_RUNS = {
+    "check": ["check", "chain3.json"],
+    "dot": ["dot", "chain3.json"],
+    "canonical": ["canonical", "ex5_base.json"],
+    "index": ["index", "ex5_base.json"],
+    "metric": ["metric", "ex1_base.json", "ex1_swap_top.json"],
+    "bca": ["bca", "ex5_base.json"],
+    "condition-star": ["condition-star", "ex5_base.json"],
+    "covering-radius": ["covering-radius", "--n", "3"],
+    "generate": ["generate", "chain", "--n", "3"],
+}
+_ALWAYS_LOADED = {"cli", "core", "documents", "errors", "_record"}
+
+
+def test_readme_load_table_names_every_subcommand():
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert set(_readme_load_table()) == set(sub.choices) == set(_SUBCOMMAND_RUNS)
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMAND_RUNS))
+def test_subcommand_loads_what_the_readme_says(command):
+    argv = [str(FIXTURES / arg) if arg.endswith(".json") else arg
+            for arg in _SUBCOMMAND_RUNS[command]]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from preorder_bca import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    code, modules = json.loads(_run_python(script, *argv))
+    assert code == 0
+    loaded = {name.split(".", 1)[1] for name in modules
+              if name.startswith("preorder_bca.")}
+    loaded.discard("_kernels_c")  # present only when the extension is built
+    readme = _readme_load_table()[command]
+    assert loaded - _ALWAYS_LOADED == readme
+    assert _ALWAYS_LOADED <= loaded
 
 
 def test_every_public_name_resolves_and_is_listed():
