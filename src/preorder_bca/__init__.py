@@ -18,7 +18,6 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "_backend": ("BACKEND_NAME",),
     "core": (
         "GroundSet", "Mask", "Preorder", "Relation", "TotalPreorder",
         "asymmetric_part", "converse", "down_set", "hasse_edges",

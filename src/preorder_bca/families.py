@@ -8,8 +8,8 @@ Label conventions are fixed so fixtures and DOT output diff cleanly:
 * refinement: partitions render as cells of concatenated sorted members
   joined by ``|`` (e.g. ``ab|c``), cells ordered by smallest member.  Ground
   order is the enumeration order of restricted growth strings.
-* words: plain strings over ``a, b, ...``; ground order is by length, then
-  lexicographic.
+* words: plain strings over ``a`` .. ``z``, so an alphabet has at most 26
+  letters; ground order is by length, then lexicographic.
 * grids: ``(i,j)`` with 1-based coordinates, row-major ground order.
 * fence/crown/chain/equality/indifferent: ``x1 .. xn``.
 
@@ -136,6 +136,9 @@ def _words(alphabet: int, k: int) -> list[str]:
 def _check_word_params(alphabet: int, k: int) -> None:
     if alphabet < 1 or k < 1:
         raise BadParameter("alphabet size and maximum length must be positive")
+    if alphabet > 26:
+        raise BadParameter(f"alphabet size must be at most 26 (letters a..z), "
+                           f"got {alphabet}")
     # stop counting at the cap: a large k would otherwise cost k big powers
     total = 0
     for length in range(1, k + 1):

@@ -9,22 +9,17 @@ Kemeny-Snell-Bogart metric simply counts pairwise disagreements.
 
 Empty menus contribute nothing (maxima are undefined there), which is the
 convention that makes the two computations of the semimetric coincide.
-
-Distance values are bounded by n * 2^n.  The compiled kernel works in 64-bit
-words, so the fast path switches to exact big-integer arithmetic once that
-bound could overflow a word.
 """
 
 from __future__ import annotations
 
-from . import _backend, _kernels_py
+from . import _backend
 from ._record import record
 from .core import (Mask, Preorder, TotalPreorder, _require_same_ground,
                    maximal_elements)
 from .errors import EmptySubset, TooLarge
 
 MAX_DIRECT_N = 20
-_WORD_SAFE_N = 57  # n * 2^n < 2^63 for all n <= 57
 MAX_STRICT_OPT_N = 5
 
 
@@ -70,9 +65,7 @@ def top_difference_direct(p: Preorder, q: Preorder,
     if p.n > limit:
         raise TooLarge(f"direct menu sweep on {p.n} elements exceeds the "
                        f"guard ({limit}); raise max_n to insist")
-    if p.n <= _WORD_SAFE_N:
-        return _backend.direct_distance(p.n, p.strict_up, q.strict_up)
-    return _kernels_py.direct_distance(p.n, p.strict_up, q.strict_up)
+    return _backend.direct_distance(p.n, p.strict_up, q.strict_up)
 
 
 def domination_profile(p: Preorder, q: Preorder) -> DominationProfile:
@@ -90,9 +83,7 @@ def domination_profile(p: Preorder, q: Preorder) -> DominationProfile:
 def top_difference_fast(p: Preorder, q: Preorder) -> int:
     """Closed-form semimetric; agrees exactly with the direct sweep."""
     _require_same_ground(p, q)
-    if p.n <= _WORD_SAFE_N:
-        return _backend.fast_distance(p.n, p.strict_up, q.strict_up)
-    return _kernels_py.fast_distance(p.n, p.strict_up, q.strict_up)
+    return _backend.fast_distance(p.n, p.strict_up, q.strict_up)
 
 
 def ksb_distance(p: Preorder, q: Preorder) -> int:

@@ -89,17 +89,6 @@ def _sorted_candidates(cands: list[TotalPreorder]) -> tuple[TotalPreorder, ...]:
     return tuple(sorted(cands, key=lambda c: c.sort_key()))
 
 
-def _word_safe_sweep(base: Preorder):
-    # the compiled kernel works in 64-bit words; distances stay word-sized
-    # only while n * 2^n does (n <= 57), so larger overrides take the exact
-    # pure path
-    from . import _kernels_py
-
-    if base.n <= 57:
-        return _backend.sweep_min_distance(base.n, base.strict_up)
-    return _kernels_py.sweep_min_distance(base.n, base.strict_up)
-
-
 def bca_bruteforce(base: Preorder, max_n: int | None = None) -> ApproximationReport:
     """Exact argmin of the semimetric over every total preorder.
 
@@ -111,7 +100,7 @@ def bca_bruteforce(base: Preorder, max_n: int | None = None) -> ApproximationRep
     if base.n > limit:
         raise TooLarge(f"brute-force sweep on {base.n} elements exceeds the "
                        f"guard ({limit}); raise max_n to insist")
-    distance, argmin_blocks = _word_safe_sweep(base)
+    distance, argmin_blocks = _backend.sweep_min_distance(base.n, base.strict_up)
     cands = [TotalPreorder(base.ground, blocks) for blocks in argmin_blocks]
     ordered = _sorted_candidates(cands)
     return ApproximationReport(
@@ -245,7 +234,7 @@ def covering_radius(ground: GroundSet, max_n: int | None = None) -> CoveringRadi
     best = -1
     witness: Preorder | None = None
     for p in enumerate_preorders(ground, max_n=limit):
-        distance, _ = _word_safe_sweep(p)
+        distance, _ = _backend.sweep_min_distance(p.n, p.strict_up)
         if distance > best:
             best = distance
             witness = p

@@ -9,7 +9,6 @@ import pytest
 
 import preorder_bca
 from preorder_bca import cli, parse_document
-from preorder_bca._backend import available_backends
 from preorder_bca.documents import document_to_json
 from conftest import random_preorder
 
@@ -240,6 +239,15 @@ def test_generate_word_prefix_requires_both_params(capsys):
     assert len(parse_document(out).labels) == 6
 
 
+def test_generate_word_prefix_alphabet_stops_at_z(capsys):
+    code, out, err = run_cli(capsys, "generate", "word_prefix",
+                             "--alphabet", "27", "--k", "1")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
 def test_generate_dot_emission(capsys):
     code, out, _ = run_cli(capsys, "--emit", "dot", "generate", "fence", "--k", "6")
     assert code == 0
@@ -343,12 +351,12 @@ def _doc_text(**fields):
     return json.dumps(doc)
 
 
-def run_process(*argv, **env):
-    """Run the CLI in a fresh process, as a user does; ``env`` adds variables."""
+def run_process(*argv):
+    """Run the CLI in a fresh process, as a user does."""
     src = str(pathlib.Path(preorder_bca.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "preorder_bca.cli", *argv],
-                          env={**os.environ, "PYTHONPATH": path, **env},
+                          env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True)
 
 
@@ -385,17 +393,3 @@ def test_short_offending_values_keep_their_repr(tmp_path, capsys):
         path.write_text(text)
         code, _, err = run_cli(capsys, "check", str(path))
         assert code == 3 and shown in err, err
-
-
-@pytest.mark.parametrize("value", ["bogus", "c"])
-def test_backend_variable_errors_exit_2_without_traceback(value):
-    if value in available_backends():
-        pytest.skip("the compiled kernels are built")
-    proc = run_process("metric", fixture("ex1_base"), fixture("ex1_base"),
-                       PREORDER_BCA_BACKEND=value)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
-    if value == "bogus":
-        assert "auto, c or python" in lines[0]

@@ -21,7 +21,7 @@ from preorder_bca import (
     top_difference_fast,
     verify_strict_optimality,
 )
-from preorder_bca import families
+from preorder_bca import _backend, families
 from preorder_bca.core import mask_of
 from conftest import random_preorder
 
@@ -163,8 +163,8 @@ def test_domination_profile():
 
 
 def test_fast_distance_past_word_size():
-    # 64 elements forces the exact big-integer path (n * 2^n overflows a
-    # word); for any completion q of p the closed form collapses to
+    # at 64 elements n * 2^n is far past a machine word; for any completion
+    # q of p the closed form collapses to
     # sum_x 2^(n - |strict dominators of x in p| - 1) - index(q) / 2,
     # which gives an independent arithmetic cross-check at this size
     from preorder_bca import canonical_completion, index_total
@@ -178,6 +178,13 @@ def test_fast_distance_past_word_size():
     assert d == const - index_total(q) // 2
     assert d > 0
     assert top_difference_fast(base, base) == 0
+
+
+def test_pure_direct_matches_bruteforce_definition():
+    # one tiny hand case: chain a>b against the flat relation
+    # menus {a,b}: maximal sets {a} vs {a,b} -> delta 1; singletons agree
+    assert _backend.direct_distance(2, (0, 1), (0, 0)) == 1
+    assert _backend.fast_distance(2, (0, 1), (0, 0)) == 1
 
 
 def test_completion_distance_identity_small(rng):

@@ -16,7 +16,7 @@ from preorder_bca import (
     enumerate_preorders,
     top_difference_fast,
 )
-from preorder_bca import families
+from preorder_bca import _backend, families
 from conftest import random_preorder
 
 
@@ -242,6 +242,36 @@ def test_sweep_kernel_matches_naive_loop(rng):
         want_d, want_set = naive_bruteforce(base)
         assert report.distance == want_d
         assert [c.blocks for c in report.bca_set] == want_set
+
+
+def test_pure_sweep_counts_candidates():
+    # the sweep visits every ordered set partition: tie list for the
+    # everywhere-incomparable base of equality must be the single top block
+    got_d, got_parts = _backend.sweep_min_distance(3, (0, 0, 0))
+    assert got_d == 0
+    assert got_parts == [(0b111,)]
+
+
+def test_solvers_reach_the_traced_kernel_names(monkeypatch):
+    # perfbench/tracer.py times the kernels by wrapping these two module
+    # attributes; a caller that bound them elsewhere would drop the
+    # kernels.* and metrics.fast_distance_* layers from its report
+    calls = []
+    for name in ("fast_distance", "sweep_min_distance"):
+        def counted(*args, _name=name, _kernel=getattr(_backend, name)):
+            calls.append(_name)
+            return _kernel(*args)
+        monkeypatch.setattr(_backend, name, counted)
+    base = families.chain(3)
+    top_difference_fast(base, base)
+    assert calls == ["fast_distance"]
+    calls.clear()
+    bca_bruteforce(base)
+    assert calls == ["sweep_min_distance"]
+    calls.clear()
+    covering_radius(base.ground)
+    # one sweep per preorder on three elements
+    assert calls == ["sweep_min_distance"] * 29
 
 
 def test_bca_members_maximal_random_n5(rng):
