@@ -6,6 +6,18 @@ The package calls these names, which ``perfbench/tracer.py`` traces.
 All three functions speak in strict-up-set bitmasks: ``up[x]`` has bit ``a``
 set iff element ``a`` is strictly above ``x`` in the relation.  Distances
 reach n * 2^n and stay exact because Python integers do not overflow.
+
+Against a total preorder ``Q``, ``up_Q(x)`` is the set ``A`` of elements in
+the blocks above x's block, so the closed form splits per element:
+
+    d(base, Q) = const + sum_x w(x, A),
+    const = sum_x 2^(n-|up(x)|-1),
+    w(x, A) = 2^(n-|A|-1) - 2^(n-|up(x) ∪ A|).
+
+A block's cost is the sum of its members' weights, which depend only on the
+block and on what lies above it.  The argmin sweep prices blocks that way.
+An element ``y`` left alone in the last block has all n-1 others in ``A``,
+and ``up(y)`` lies inside ``A``, so ``w(y, A) = 2^0 - 2^1 = -1``.
 """
 
 from __future__ import annotations
@@ -46,42 +58,64 @@ def sweep_min_distance(n: int, up_base: tuple[int, ...]):
     """Scan every ordered set partition of {0..n-1}; return the minimum
     closed-form distance to the base and all block tuples attaining it.
 
+    A partition's distance is ``const`` plus the sum of its members'
+    weights ``w(x, A)``, where ``A`` is the union of the blocks before x's
+    block (see the module docstring).  Each node of the scan computes the
+    weight of each remaining element once, with one popcount.  It then
+    prices each child block as the cost of the block without its lowest
+    member plus that member's weight; blocks are visited in increasing
+    bitmask order, so that smaller block is always priced already.  The
+    table of block costs belongs to the node and dies with it.
+
+    The last block and a lone last element are leaves, priced in the loop
+    instead of through a call.  A lone last element ``y`` has every other
+    element in ``A``, so ``|up(y) ∪ A| = n-1`` and ``w(y, A) = 1 - 2 = -1``.
+
     Enumeration order is depth-first with blocks drawn in increasing bitmask
     order, so the argmin list is deterministic.
     """
-    full = (1 << n) - 1
     const = 0
     for x in range(n):
         const += 1 << (n - up_base[x].bit_count() - 1)
-
-    best = [None, []]
+    best = None
+    ties: list[tuple[int, ...]] = []
     stack: list[int] = []
 
     def rec(remaining: int, above: int, partial: int) -> None:
-        if remaining == 0:
-            d = const + partial
-            if best[0] is None or d < best[0]:
-                best[0] = d
-                best[1] = [tuple(stack)]
-            elif d == best[0]:
-                best[1].append(tuple(stack))
-            return
-        above_bits = above.bit_count()
-        t1 = 1 << (n - above_bits - 1)
-        s = (0 - remaining) & remaining
+        nonlocal best, ties
+        t1 = 1 << (n - above.bit_count() - 1)
+        weights = []
+        r = remaining
+        while r:
+            low = r & -r
+            r ^= low
+            weights.append(t1 - (2 << (n - 1 - (up_base[low.bit_length() - 1] | above).bit_count())))
+        # Counting i up visits the blocks in increasing bitmask order, with
+        # bit j of i standing for the j-th lowest remaining element;
+        # cost[i] is partial plus the cost of block i.
+        cost = [partial] * (1 << len(weights))
+        i = 0
+        s = 0
         while True:
-            contrib = 0
-            block = s
-            while block:
-                x = (block & -block).bit_length() - 1
-                block &= block - 1
-                contrib += t1 - (2 << (n - 1 - (up_base[x] | above).bit_count()))
-            stack.append(s)
-            rec(remaining & ~s, above | s, partial + contrib)
-            stack.pop()
             s = (s - remaining) & remaining
             if s == 0:
                 break
+            i += 1
+            low = i & -i
+            c = cost[i] = cost[i ^ low] + weights[low.bit_length() - 1]
+            rest = remaining ^ s
+            if rest & (rest - 1):
+                stack.append(s)
+                rec(rest, above | s, c)
+                stack.pop()
+                continue
+            if rest:
+                c -= 1
+            if best is None or c < best:
+                best = c
+                ties = [(*stack, s, rest) if rest else (*stack, s)]
+            elif c == best:
+                ties.append((*stack, s, rest) if rest else (*stack, s))
 
-    rec(full, 0, 0)
-    return best[0], best[1]
+    rec((1 << n) - 1, 0, const)
+    return best, ties

@@ -92,9 +92,10 @@ def _sorted_candidates(cands: list[TotalPreorder]) -> tuple[TotalPreorder, ...]:
 def bca_bruteforce(base: Preorder, max_n: int | None = None) -> ApproximationReport:
     """Exact argmin of the semimetric over every total preorder.
 
-    The per-candidate distance uses the closed-form formula (the definitional
-    sweep would add an exponential factor); the equivalence of the two is
-    covered by its own test battery.
+    The scan prices each block from per-element weights of the closed-form
+    distance, once for all the candidates that share that block and the
+    blocks above it (the definitional sweep would add an exponential
+    factor); the equivalence of the two is covered by its own test battery.
     """
     limit = MAX_BRUTEFORCE_N if max_n is None else max_n
     if base.n > limit:

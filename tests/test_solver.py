@@ -214,32 +214,44 @@ def test_report_invariants(rng):
             assert top_difference_fast(base, cand.as_preorder) == report.distance
 
 
-def naive_bruteforce(base):
-    # object-level reimplementation, independent of the sweep kernel
-    from preorder_bca import enumerate_total_preorders
-
+def naive_bruteforce(base, candidates):
+    # object-level reimplementation, independent of the sweep kernel;
+    # candidates pairs each total preorder's blocks with its Preorder
     best = None
     argmin = []
-    for cand in enumerate_total_preorders(base.ground):
-        d = top_difference_fast(base, cand.as_preorder)
+    for blocks, cand in candidates:
+        d = top_difference_fast(base, cand)
         if best is None or d < best:
-            best, argmin = d, [cand.blocks]
+            best, argmin = d, [blocks]
         elif d == best:
-            argmin.append(cand.blocks)
+            argmin.append(blocks)
     return best, sorted(argmin)
 
 
 def test_sweep_kernel_matches_naive_loop(rng):
-    ground = GroundSet(("a", "b", "c"))
-    for base in enumerate_preorders(ground):
+    # every preorder on 1..4 elements, then seeded random ones on 5 and 6:
+    # the kernel prices a last block and a lone last element without a
+    # call, and its block costs build on each other, so a slip shows only
+    # on some bases and some depths
+    from preorder_bca import enumerate_total_preorders
+
+    grounds = {n: GroundSet(tuple(f"x{t}" for t in range(1, n + 1)))
+               for n in range(1, 7)}
+    bases = [p for n in range(1, 5) for p in enumerate_preorders(grounds[n])]
+    assert len(bases) == 1 + 4 + 29 + 355
+    for n, count in ((5, 30), (6, 5)):
+        bases += [random_preorder(rng, n, rng.choice([0.1, 0.3, 0.5]))
+                  for _ in range(count)]
+    candidates = {n: [(t.blocks, t.as_preorder)
+                      for t in enumerate_total_preorders(ground)]
+                  for n, ground in grounds.items()}
+    for base in bases:
+        want_d, want_set = naive_bruteforce(base, candidates[base.n])
+        distance, ties = _backend.sweep_min_distance(base.n, base.strict_up)
+        assert len(set(ties)) == len(ties)
+        assert distance == want_d
+        assert sorted(ties) == want_set
         report = bca_bruteforce(base)
-        want_d, want_set = naive_bruteforce(base)
-        assert report.distance == want_d
-        assert [c.blocks for c in report.bca_set] == want_set
-    for _ in range(20):
-        base = random_preorder(rng, 4)
-        report = bca_bruteforce(base)
-        want_d, want_set = naive_bruteforce(base)
         assert report.distance == want_d
         assert [c.blocks for c in report.bca_set] == want_set
 
