@@ -6,11 +6,10 @@ input yield identical sequences.  Size guards raise :class:`TooLarge` up
 front instead of truncating, since a partial enumeration would silently
 corrupt the brute-force oracles built on top of these streams.
 
-The maximal and strict streams skip blocks of the one completion recursion
-and keep its order: a maximal block holds a class strictly below one of the
-previous block, since merging two consecutive blocks keeps a completion
-exactly when no strict base pair crosses them; a strict block holds one
-class, since the classes a block may draw from are pairwise incomparable.
+Completions live on the base's class quotient (``Preorder.quotient``): a
+completion is an ordered partition of the indifference classes in which every
+strict class pair crosses blocks in order.  One recursion over class masks,
+:func:`class_blocks`, serves the three public streams and the index.
 """
 
 from __future__ import annotations
@@ -22,11 +21,12 @@ from .core import (
     GroundSet,
     Mask,
     Preorder,
+    Quotient,
     TotalPreorder,
-    indifference_classes,
     is_completion,
     iter_bits,
     layers,
+    mask_of,
 )
 from .errors import BadParameter, NotACompletion, TooLarge
 
@@ -91,7 +91,10 @@ class CompletionStream:
             raise BadParameter(f"unknown completion filter: {self.which!r}")
 
     def __iter__(self) -> Iterator[TotalPreorder]:
-        return _completions(self.base, self.which, self.max_classes)
+        q = self.base.quotient
+        for blocks in class_blocks(q, (1 << len(q.classes)) - 1, self.which,
+                                   self.max_classes):
+            yield TotalPreorder(self.base.ground, tuple(q.expand(b) for b in blocks))
 
 
 def enumerate_completions(base: Preorder, which: str = "all",
@@ -99,50 +102,35 @@ def enumerate_completions(base: Preorder, which: str = "all",
     return CompletionStream(base, which, max_classes)
 
 
-def _completions(base: Preorder, which: str,
-                 max_classes: int | None) -> Iterator[TotalPreorder]:
-    # Work on the indifference-class quotient: indifferent elements can never
-    # be separated by a completion, and a completion is exactly an ordered
-    # set partition of the classes in which every strictly-ordered class pair
-    # crosses blocks in order.
-    classes = indifference_classes(base)
-    k = len(classes)
+def class_blocks(q: Quotient, classes: Mask, which: str = "all",
+                 max_classes: int | None = None) -> Iterator[tuple[Mask, ...]]:
+    """Completions of ``q`` restricted to the class mask ``classes``, as
+    tuples of class masks, top block first."""
+    k = classes.bit_count()
     limit = MAX_COMPLETION_CLASSES if max_classes is None else max_classes
     if k > limit:
         raise TooLarge(f"base has {k} indifference classes; completion "
                        f"enumeration guard is {limit}")
-    reps = [(c & -c).bit_length() - 1 for c in classes]
-    # strict class order, as masks over class indices
-    dominators = [0] * k
-    for a in range(k):
-        for b in range(k):
-            if a != b and base.holds(reps[a], reps[b]):
-                dominators[b] |= 1 << a
+    up = q.up
     maximal_only = which == "maximal"
     strict_only = which == "strict"
-    stack: list[int] = []
+    stack: list[Mask] = []
 
-    def rec(remaining: int, prev: int) -> Iterator[TotalPreorder]:
+    def rec(remaining: Mask, prev: Mask) -> Iterator[tuple[Mask, ...]]:
         if remaining == 0:
-            yield TotalPreorder(
-                base.ground,
-                tuple(_expand(classes, cm) for cm in stack),
-            )
+            yield tuple(stack)
             return
-        # a class may enter the next block only if all its strict dominators
-        # are already placed
+        # a class may enter the next block only if every class strictly
+        # above it is already placed
         placeable = 0
         for c in iter_bits(remaining):
-            if dominators[c] & remaining == 0:
+            if up[c] & remaining == 0:
                 placeable |= 1 << c
         # the block must meet ``required``; strict blocks hold one class
         # (see CompletionStream)
         required = placeable
         if maximal_only and prev:
-            required = 0
-            for c in iter_bits(placeable):
-                if dominators[c] & prev:
-                    required |= 1 << c
+            required = mask_of(c for c in iter_bits(placeable) if up[c] & prev)
         s = (0 - placeable) & placeable
         while s:
             if s & required and not (strict_only and s & (s - 1)):
@@ -151,14 +139,7 @@ def _completions(base: Preorder, which: str,
                 stack.pop()
             s = (s - placeable) & placeable
 
-    yield from rec((1 << k) - 1, 0)
-
-
-def _expand(classes, class_mask: int) -> Mask:
-    m = 0
-    for c in iter_bits(class_mask):
-        m |= classes[c]
-    return m
+    yield from rec(classes, 0)
 
 
 def is_maximal_completion(cand: TotalPreorder, base: Preorder) -> bool:

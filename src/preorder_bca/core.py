@@ -1,10 +1,10 @@
 """Ground sets, relations, preorders, and the order-theoretic primitives.
 
 Elements are identified by index into a :class:`GroundSet`; labels exist only
-for I/O.  Subsets of the ground set are plain ``int`` bitmasks (bit ``i`` set
-iff element ``i`` is a member), which keeps maxima, restriction, and layer
-computations branch-free.  Ground sets are capped at 64 elements so every row
-of an incidence matrix is a single machine word.
+for I/O.  Subsets are plain ``int`` bitmasks (bit ``i`` set iff element ``i``
+is a member); ground sets are capped at 64 elements.  A preorder's
+:class:`Quotient`, the strict order on its indifference classes, is computed
+once; layers, Hasse edges, completions and condition (*) all read it.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
@@ -107,6 +107,36 @@ class Relation:
 
 
 @record
+class Quotient:
+    """The strict order a preorder induces on its indifference classes: the
+    ``classes`` (element masks, by smallest member) and their ``sizes``, then,
+    as masks over class indices, ``up[c]`` and ``down[c]`` (the classes
+    strictly above and below class ``c``) and the maximal ``layers``, top first."""
+
+    classes: tuple[Mask, ...]
+    sizes: tuple[int, ...]
+    up: tuple[Mask, ...]
+    down: tuple[Mask, ...]
+    layers: tuple[Mask, ...]
+
+    def expand(self, class_mask: Mask) -> Mask:
+        """The elements of the classes in ``class_mask``."""
+        m = 0
+        for c in iter_bits(class_mask):
+            m |= self.classes[c]
+        return m
+
+    def classes_in(self, elements: Mask) -> Mask:
+        """The classes meeting ``elements``, as a class mask."""
+        return mask_of(c for c, m in enumerate(self.classes) if m & elements)
+
+    def covers(self) -> Iterator[tuple[int, int]]:
+        """Class pairs (a, b), a covering b (no class strictly between)."""
+        return ((a, b) for a, below in enumerate(self.down)
+                for b in iter_bits(below) if not self.up[b] & below)
+
+
+@record
 class Preorder(Relation):
     """A Relation that passed reflexivity + transitivity validation.
 
@@ -140,6 +170,22 @@ class Preorder(Relation):
     def strict_down(self) -> tuple[Mask, ...]:
         # strict_down[x] = {a : x > a}
         return tuple(self.rows[x] & ~self.cols[x] for x in range(self.n))
+
+    @cached_property
+    def quotient(self) -> Quotient:
+        # x heads its class when no member of the class has a smaller index
+        sym = [col & ~up for col, up in zip(self.cols, self.strict_up)]
+        reps = [x for x in range(self.n) if not sym[x] & ((1 << x) - 1)]
+        classes = tuple(sym[x] for x in reps)
+        # the classes meeting each head's strict up-set, then its down-set
+        up, down = (tuple(mask_of(c for c, m in enumerate(classes) if m & strict[x])
+                          for x in reps) for strict in (self.strict_up, self.strict_down))
+        layers, remaining = [], (1 << len(classes)) - 1
+        while remaining:
+            layers.append(mask_of(c for c in iter_bits(remaining) if not up[c] & remaining))
+            remaining ^= layers[-1]
+        return Quotient(classes, tuple(c.bit_count() for c in classes), up, down,
+                        tuple(layers))
 
 
 def _transitivity_witnesses(rows, first_only=False):
@@ -344,13 +390,8 @@ def up_set(p: Preorder, x: int, strict: bool = False) -> Mask:
 
 def layers(p: Preorder) -> tuple[Mask, ...]:
     """Iterated maximal layers M_1, M_2, ... partitioning the ground set."""
-    out = []
-    remaining = p.ground.full_mask
-    while remaining:
-        m = maximal_elements(p, remaining)
-        out.append(m)
-        remaining &= ~m
-    return tuple(out)
+    q = p.quotient
+    return tuple(q.expand(layer) for layer in q.layers)
 
 
 def incomparable_witness(p: Preorder) -> tuple[int, int] | None:
@@ -386,19 +427,6 @@ def is_completion(cand: TotalPreorder, base: Preorder) -> bool:
     return True
 
 
-def indifference_classes(p: Preorder) -> tuple[Mask, ...]:
-    """Symmetric-part equivalence classes, ordered by smallest member."""
-    seen = 0
-    classes = []
-    for i in range(p.n):
-        if (seen >> i) & 1:
-            continue
-        cls = p.rows[i] & p.cols[i]
-        classes.append(cls)
-        seen |= cls
-    return tuple(classes)
-
-
 def class_label(p: Preorder, cls: Mask) -> str:
     return ",".join(p.ground.label_set(cls))
 
@@ -409,20 +437,6 @@ def hasse_edges(p: Preorder) -> tuple[tuple[str, str], ...]:
     Edges are (upper label, lower label) pairs, sorted; class labels are the
     sorted member labels joined by commas.
     """
-    classes = indifference_classes(p)
-    reps = [(c & -c).bit_length() - 1 for c in classes]
-    k = len(classes)
-    above = [[False] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(k):
-            if a != b:
-                above[a][b] = p.holds(reps[a], reps[b])
-    edges = []
-    for a in range(k):
-        for b in range(k):
-            if not above[a][b]:
-                continue
-            if any(above[a][c] and above[c][b] for c in range(k)):
-                continue
-            edges.append((class_label(p, classes[a]), class_label(p, classes[b])))
-    return tuple(sorted(edges))
+    classes = p.quotient.classes
+    return tuple(sorted((class_label(p, classes[a]), class_label(p, classes[b]))
+                        for a, b in p.quotient.covers()))

@@ -18,7 +18,6 @@ from .core import (
     Relation,
     TotalPreorder,
     hasse_edges,
-    indifference_classes,
     class_label,
     transitive_closure_rows,
     validate_preorder,
@@ -173,7 +172,7 @@ def _dot_quote(label: str) -> str:
 def render_dot(p: Preorder, name: str = "hasse") -> str:
     """Graphviz digraph of the Hasse diagram, one node per indifference
     class, edges pointing downward; byte-stable."""
-    nodes = sorted(class_label(p, cls) for cls in indifference_classes(p))
+    nodes = sorted(class_label(p, cls) for cls in p.quotient.classes)
     lines = [f"digraph {name} {{", "  rankdir=TB;"]
     lines.extend(f"  {_dot_quote(node)};" for node in nodes)
     lines.extend(f"  {_dot_quote(upper)} -> {_dot_quote(lower)};"

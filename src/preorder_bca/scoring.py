@@ -10,7 +10,7 @@ than floats.
 from __future__ import annotations
 
 from ._record import record
-from .core import Preorder, TotalPreorder, down_set
+from .core import Mask, Preorder, Quotient, TotalPreorder, down_set, iter_bits
 from .errors import BadParameter, EmptySequence
 
 
@@ -95,17 +95,23 @@ def index_total(p: TotalPreorder) -> int:
 
 
 def index_general(p: Preorder, max_classes: int | None = None) -> int:
-    """Index of an arbitrary preorder: the largest index of any completion.
+    """Index of an arbitrary preorder: the largest index of any completion."""
+    return class_index(p.quotient, (1 << len(p.quotient.classes)) - 1,
+                       max_classes)
 
-    The index is strictly increasing in relation containment, so maximizing
-    over all completions and over maximal completions agree; the full stream
-    is cheaper than maximality filtering.
-    """
-    from .completions import enumerate_completions
 
+def class_index(q: Quotient, classes: Mask,
+                max_classes: int | None = None) -> int:
+    """Index of a preorder restricted to the class mask ``classes`` of its
+    quotient ``q``.  The index grows strictly with containment, so only
+    maximal completions are priced, each from its class sizes."""
+    from .completions import class_blocks
+
+    sizes = q.sizes
     best = 0
-    for cand in enumerate_completions(p, "all", max_classes=max_classes):
-        value = index_total(cand)
+    for blocks in class_blocks(q, classes, "maximal", max_classes):
+        value = index_total_from_sizes(
+            [sum(sizes[c] for c in iter_bits(b)) for b in blocks])
         if value > best:
             best = value
     return best

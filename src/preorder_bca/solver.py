@@ -28,7 +28,6 @@ from .core import (
     TotalPreorder,
     iter_bits,
     layers,
-    restrict,
 )
 from .completions import (
     canonical_completion,
@@ -37,7 +36,7 @@ from .completions import (
 )
 from .errors import TooLarge
 from .metrics import top_difference_fast
-from .scoring import index_general, index_total
+from .scoring import class_index, index_total
 
 MAX_BRUTEFORCE_N = 9
 MAX_CONDITION_LAYER = 16
@@ -143,8 +142,8 @@ def condition_star(base: Preorder, max_layer: int | None = None) -> ConditionSta
     subset S of M_i, the index of the restriction to Y stays below
     2^(|S|+|Y|), where Y collects the elements strictly below some member of
     S but below no member of M_i outside S.  An empty Y satisfies its
-    inequality trivially.
-    """
+    inequality trivially; any other Y is a union of indifference classes, so
+    its index is taken on the quotient's class mask of Y."""
     limit = MAX_CONDITION_LAYER if max_layer is None else max_layer
     layer_masks = layers(base)
     # refuse before sweeping any layer, so a refusal costs only the layers
@@ -166,7 +165,7 @@ def condition_star(base: Preorder, max_layer: int | None = None) -> ConditionSta
             for x in iter_bits(layer & ~s):
                 below &= ~base.strict_down[x]
             if below:
-                value = index_general(restrict(base, below))
+                value = class_index(base.quotient, base.quotient.classes_in(below))
                 bound = 1 << (s.bit_count() + below.bit_count())
                 if value > bound:
                     verdict = FAILS
