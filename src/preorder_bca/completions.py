@@ -161,26 +161,32 @@ def canonical_completion(base: Preorder) -> TotalPreorder:
 
 def enumerate_preorders(ground: GroundSet,
                         max_n: int | None = None) -> Iterator[Preorder]:
-    """Every preorder on ``ground`` exactly once.
+    """Every preorder on ``ground`` exactly once, in increasing order of the
+    off-diagonal bit pattern (row 0 least significant) for reproducibility."""
+    limit = MAX_PREORDER_ENUM_N if max_n is None else max_n
+    if ground.n > limit:
+        raise TooLarge(f"enumerating preorders on {ground.n} elements exceeds "
+                       f"the guard ({limit}); raise max_n to insist")
+    for rows in _preorder_rows(ground.n):
+        yield Preorder(ground, rows)
+
+
+def _preorder_rows(n: int) -> Iterator[tuple[Mask, ...]]:
+    """The incidence rows of every preorder on n elements, unguarded, in the
+    order of :func:`enumerate_preorders`.
 
     Rows are assigned from the last element down, each row's off-diagonal
-    bits in increasing order, so preorders come in increasing order of their
-    off-diagonal bit pattern (row 0 least significant) for reproducibility.
-    A choice whose assigned rows are not transitive among themselves is
-    abandoned: every restriction of a preorder is a preorder.
+    bits in increasing order.  A choice whose assigned rows are not
+    transitive among themselves is abandoned (every restriction of a
+    preorder is a preorder), so the rows yielded need no further check.
     """
-    limit = MAX_PREORDER_ENUM_N if max_n is None else max_n
-    n = ground.n
-    if n > limit:
-        raise TooLarge(f"enumerating preorders on {n} elements exceeds the "
-                       f"guard ({limit}); raise max_n to insist")
     rows = [0] * n
 
-    def rec(i: int, above: Mask) -> Iterator[Preorder]:
+    def rec(i: int, above: Mask) -> Iterator[tuple[Mask, ...]]:
         # rows of ``above`` (elements i+1..n-1) are assigned and transitive
         # among themselves; extend that to i, checking only triples with i
         if i < 0:
-            yield Preorder(ground, tuple(rows))
+            yield tuple(rows)
             return
         bit = 1 << i
         ups = 0  # assigned elements whose rows put them weakly above i

@@ -152,19 +152,11 @@ class Preorder(Relation):
 
     @cached_property
     def cols(self) -> tuple[Mask, ...]:
-        # cols[j] = weak up-set of j = {i : x_i >= x_j}
-        n = self.n
-        cols = [0] * n
-        for i, row in enumerate(self.rows):
-            bit = 1 << i
-            for j in iter_bits(row):
-                cols[j] |= bit
-        return tuple(cols)
+        return _columns(self.rows)
 
     @cached_property
     def strict_up(self) -> tuple[Mask, ...]:
-        # strict_up[x] = {a : a > x}
-        return tuple(self.cols[x] & ~self.rows[x] for x in range(self.n))
+        return _strict_up(self.rows, self.cols)
 
     @cached_property
     def strict_down(self) -> tuple[Mask, ...]:
@@ -186,6 +178,20 @@ class Preorder(Relation):
             remaining ^= layers[-1]
         return Quotient(classes, tuple(c.bit_count() for c in classes), up, down,
                         tuple(layers))
+
+
+def _columns(rows) -> tuple[Mask, ...]:
+    """cols[j] = weak up-set of j = {i : x_i >= x_j}."""
+    cols = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in iter_bits(row):
+            cols[j] |= 1 << i
+    return tuple(cols)
+
+
+def _strict_up(rows, cols) -> tuple[Mask, ...]:
+    """strict_up[x] = {a : a > x}, from the rows and their columns."""
+    return tuple(col & ~row for row, col in zip(rows, cols))
 
 
 def _transitivity_witnesses(rows, first_only=False):

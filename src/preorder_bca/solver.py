@@ -26,14 +26,12 @@ from .core import (
     Mask,
     Preorder,
     TotalPreorder,
+    _columns,
+    _strict_up,
     iter_bits,
     layers,
 )
-from .completions import (
-    canonical_completion,
-    enumerate_completions,
-    enumerate_preorders,
-)
+from .completions import _preorder_rows, canonical_completion, enumerate_completions
 from .errors import TooLarge
 from .metrics import top_difference_fast
 from .scoring import class_index, index_total
@@ -232,14 +230,11 @@ def covering_radius(ground: GroundSet, max_n: int | None = None) -> CoveringRadi
         raise TooLarge(f"covering radius sweep on {ground.n} elements "
                        f"exceeds the guard ({limit}); raise max_n to insist")
     best = -1
-    witness: Preorder | None = None
-    for p in enumerate_preorders(ground, max_n=limit):
-        distance, _ = _backend.sweep_min_distance(p.n, p.strict_up)
+    for rows in _preorder_rows(ground.n):
+        distance, _ = _backend.sweep_min_distance(ground.n, _strict_up(rows, _columns(rows)))
         if distance > best:
-            best = distance
-            witness = p
-    assert witness is not None
-    return CoveringRadiusReport(best, witness)
+            best, witness = distance, rows
+    return CoveringRadiusReport(best, Preorder(ground, witness))
 
 
 __all__ = [

@@ -205,6 +205,19 @@ def test_covering_radius_small():
         covering_radius(GroundSet(tuple(f"x{i}" for i in range(1, 6))))
 
 
+def test_covering_radius_builds_only_the_witness(monkeypatch):
+    # the pruned rows are already transitive: one Preorder, for the witness
+    from preorder_bca.core import Preorder
+
+    built = []
+    check = Preorder.__post_init__
+    monkeypatch.setattr(Preorder, "__post_init__",
+                        lambda self: (built.append(self.rows), check(self)))
+    report = covering_radius(GroundSet(("x1", "x2", "x3", "x4")))
+    assert built == [report.witness.rows]
+    assert report.witness in set(enumerate_preorders(report.witness.ground))
+
+
 def test_report_invariants(rng):
     for _ in range(10):
         base = random_preorder(rng, 4)
