@@ -49,8 +49,8 @@ _EXPORTS = {
         "verify_strict_optimality",
     ),
     "scoring": (
-        "DyadicRational", "layer_composition", "index_general", "index_total",
-        "normalized_index", "score",
+        "index_general", "index_total", "layer_composition", "normalized_index",
+        "score",
     ),
     "solver": (
         "ApproximationReport", "ConditionStarReport", "ConditionStarWitness",

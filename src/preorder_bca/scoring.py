@@ -3,71 +3,14 @@
 Scores are powers of two and the index of an n-element relation can reach
 n * 2^n, so everything here uses exact arbitrary-precision integers (plain
 Python ``int``).  The normalized index and the layer-size composition law are
-exact identities, so they are computed over :class:`DyadicRational` rather
-than floats.
+exact identities, so they are ``fractions.Fraction`` values, not floats;
+``fractions`` is imported only when they are asked for.
 """
 
 from __future__ import annotations
 
-from ._record import record
 from .core import Mask, Preorder, Quotient, TotalPreorder, down_set, iter_bits
-from .errors import BadParameter, EmptySequence
-
-
-@record
-class DyadicRational:
-    """Exact value numerator / 2^exponent, kept in canonical form."""
-
-    numerator: int
-    exponent: int
-
-    def __post_init__(self):
-        num, exp = self.numerator, self.exponent
-        if exp < 0:
-            raise BadParameter("exponent must be nonnegative")
-        if num == 0:
-            exp = 0
-        else:
-            while num % 2 == 0 and exp > 0:
-                num //= 2
-                exp -= 1
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "exponent", exp)
-
-    @classmethod
-    def from_int(cls, value: int) -> "DyadicRational":
-        return cls(value, 0)
-
-    def __add__(self, other: "DyadicRational") -> "DyadicRational":
-        e = max(self.exponent, other.exponent)
-        num = (self.numerator << (e - self.exponent)) + \
-              (other.numerator << (e - other.exponent))
-        return DyadicRational(num, e)
-
-    def __mul__(self, other: "DyadicRational") -> "DyadicRational":
-        return DyadicRational(self.numerator * other.numerator,
-                              self.exponent + other.exponent)
-
-    def scaled_pow2(self, k: int) -> "DyadicRational":
-        """The value times 2^k (k may be negative)."""
-        if k >= self.exponent:
-            return DyadicRational(self.numerator << (k - self.exponent), 0)
-        return DyadicRational(self.numerator, self.exponent - k)
-
-    def as_integer(self) -> int:
-        if self.exponent != 0:
-            raise BadParameter(f"{self} is not an integer")
-        return self.numerator
-
-    def __lt__(self, other: "DyadicRational") -> bool:
-        e = max(self.exponent, other.exponent)
-        return (self.numerator << (e - self.exponent)) < \
-               (other.numerator << (e - other.exponent))
-
-    def __str__(self) -> str:
-        if self.exponent == 0:
-            return str(self.numerator)
-        return f"{self.numerator}/2^{self.exponent}"
+from .errors import EmptySequence
 
 
 def score(p: Preorder, x: int) -> int:
@@ -117,32 +60,38 @@ def class_index(q: Quotient, classes: Mask,
     return best
 
 
-def normalized_index(p: TotalPreorder) -> DyadicRational:
-    """Normalized index: sum over x of 2^-(strict dominators of x).
+def normalized_index(p: TotalPreorder):
+    """Normalized index, an exact ``fractions.Fraction``: the sum over x of
+    2^-(strict dominators of x).
 
     Satisfies 2^n * normalized_index(p) == index_total(p) exactly.
     """
-    total = DyadicRational(0, 0)
+    from fractions import Fraction
+
+    total = Fraction(0)
     above = 0
     for b in p.blocks:
-        total = total + DyadicRational(b.bit_count(), above)
+        total += Fraction(b.bit_count(), 1 << above)
         above += b.bit_count()
     return total
 
 
-def layer_composition(sizes) -> DyadicRational:
-    """Compose block sizes: f(n1..nk) = n1 + sum of ni * 2^-(n1+..+n(i-1)).
+def layer_composition(sizes):
+    """Compose block sizes: f(n1..nk) = n1 + sum of ni * 2^-(n1+..+n(i-1)),
+    an exact ``fractions.Fraction``.
 
     For every total preorder, the normalized index equals this function
     applied to its block sizes, and the value splits exactly at any cut:
     f(n1..nl) = f(n1..nk) + 2^-(n1+..+nk) * f(n(k+1)..nl).
     """
+    from fractions import Fraction
+
     sizes = tuple(sizes)
     if not sizes:
         raise EmptySequence("need at least one layer size")
-    total = DyadicRational(0, 0)
+    total = Fraction(0)
     prefix = 0
     for size in sizes:
-        total = total + DyadicRational(size, prefix)
+        total += Fraction(size, 1 << prefix)
         prefix += size
     return total

@@ -9,6 +9,7 @@ import itertools
 import pathlib
 import random
 import time
+from fractions import Fraction
 
 import worked_examples as wx
 from preorder_bca import (
@@ -35,7 +36,6 @@ from preorder_bca import (
     verify_strict_optimality,
 )
 from preorder_bca import families
-from preorder_bca.scoring import DyadicRational
 from conftest import random_preorder
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -243,7 +243,7 @@ def test_criterion_7_index_bounds_and_identities():
         for t in enumerate_total_preorders(ground):
             value = normalized_index(t)
             assert value == layer_composition(t.block_sizes())
-            assert value.scaled_pow2(n) == DyadicRational(index_total(t), 0)
+            assert value * Fraction(2) ** n == index_total(t)
 
     def compositions(total):
         if total == 0:
@@ -258,7 +258,7 @@ def test_criterion_7_index_bounds_and_identities():
             whole = layer_composition(sizes)
             for cut in range(1, len(sizes)):
                 assert whole == layer_composition(sizes[:cut]) + \
-                    layer_composition(sizes[cut:]).scaled_pow2(-sum(sizes[:cut]))
+                    layer_composition(sizes[cut:]) * Fraction(2) ** -sum(sizes[:cut])
 
     budget.done("bounds on every preorder n<=4, normalized_index/f identities on every "
                 "total preorder n<=5, split identity for sums <= 6")

@@ -1,12 +1,11 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 import worked_examples as wx
 from preorder_bca import (
-    BadParameter,
-    DyadicRational,
     EmptySequence,
     GroundSet,
     enumerate_completions,
@@ -94,41 +93,30 @@ def test_index_monotone_on_totals():
             assert index_total(p) <= index_total(q)
 
 
-def test_dyadic_arithmetic():
-    half = DyadicRational(1, 1)
-    assert half + half == DyadicRational(1, 0)
-    assert DyadicRational(4, 2) == DyadicRational(1, 0)
-    assert DyadicRational(0, 7) == DyadicRational(0, 0)
-    assert half < DyadicRational(3, 2)
-    assert (half * DyadicRational(3, 1)) == DyadicRational(3, 2)
-    assert DyadicRational(3, 1).scaled_pow2(3) == DyadicRational(12, 0)
-    assert str(DyadicRational(7, 2)) == "7/2^2"
-    with pytest.raises(ValueError):
-        DyadicRational(3, 1).as_integer()
-
-
-def test_dyadic_misuse_raises_bad_parameter():
-    with pytest.raises(BadParameter):
-        DyadicRational(1, -1)
-    with pytest.raises(BadParameter):
-        DyadicRational(1, 1).as_integer()
+def test_normalized_values_are_dyadic():
+    # every normalized value is exact, with a power-of-two denominator
+    for sizes in ((1,), (2, 1), (1, 1, 1), (3, 2, 4)):
+        value = layer_composition(sizes)
+        assert isinstance(value, Fraction)
+        assert value.denominator & (value.denominator - 1) == 0
+    assert layer_composition([2, 1]) == Fraction(9, 4)
 
 
 def test_normalized_index_examples():
     for n in (2, 4):
         indiff = to_total(families.indifferent(n))
-        assert normalized_index(indiff) == DyadicRational(n, 0)
+        assert normalized_index(indiff) == n
 
     linear3 = to_total(families.chain(3))
-    assert normalized_index(linear3) == DyadicRational(14, 3)  # 14/8 = 7/4
+    assert normalized_index(linear3) == Fraction(14, 2**3)  # 14/8 = 7/4
 
     c1 = wx.example8_named()[1]
-    assert normalized_index(c1) == DyadicRational(2**7 + 194, 7)
+    assert normalized_index(c1) == Fraction(2**7 + 194, 2**7)
 
 
 def test_f_examples():
-    assert layer_composition([5]) == DyadicRational(5, 0)
-    assert layer_composition([1, 1, 1]) == DyadicRational(7, 2)
+    assert layer_composition([5]) == 5
+    assert layer_composition([1, 1, 1]) == Fraction(7, 2**2)
     with pytest.raises(EmptySequence):
         layer_composition([])
 
@@ -139,7 +127,7 @@ def test_normalization_matches_layer_composition_small():
         for t in enumerate_total_preorders(ground):
             value = normalized_index(t)
             assert value == layer_composition(t.block_sizes())
-            assert value.scaled_pow2(n).as_integer() == index_total(t)
+            assert value * Fraction(2) ** n == index_total(t)
 
 
 def compositions(total):
@@ -159,7 +147,7 @@ def test_layer_composition_split_exhaustive():
                 left = layer_composition(sizes[:cut])
                 right = layer_composition(sizes[cut:])
                 shift = sum(sizes[:cut])
-                assert whole == left + right.scaled_pow2(-shift)
+                assert whole == left + right * Fraction(2) ** -shift
 
 
 @given(st.lists(st.integers(1, 8), min_size=2, max_size=6), st.data())
@@ -168,7 +156,7 @@ def test_layer_composition_split_property(sizes, data):
     whole = layer_composition(sizes)
     left = layer_composition(sizes[:cut])
     right = layer_composition(sizes[cut:])
-    assert whole == left + right.scaled_pow2(-sum(sizes[:cut]))
+    assert whole == left + right * Fraction(2) ** -sum(sizes[:cut])
 
 
 def test_index_general_equals_max_over_all_completions():
