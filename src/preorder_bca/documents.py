@@ -17,7 +17,6 @@ from .core import (
     Preorder,
     Relation,
     TotalPreorder,
-    hasse_edges,
     class_label,
     transitive_closure_rows,
     validate_preorder,
@@ -171,11 +170,13 @@ def _dot_quote(label: str) -> str:
 
 def render_dot(p: Preorder, name: str = "hasse") -> str:
     """Graphviz digraph of the Hasse diagram, one node per indifference
-    class, edges pointing downward; byte-stable."""
-    nodes = sorted(class_label(p, cls) for cls in p.quotient.classes)
+    class, edges pointing downward; byte-stable.  Node ``n<c>`` is class
+    ``c`` of the quotient, labelled with its members' labels, so labels that
+    contain commas cannot merge two nodes."""
+    q = p.quotient
     lines = [f"digraph {name} {{", "  rankdir=TB;"]
-    lines.extend(f"  {_dot_quote(node)};" for node in nodes)
-    lines.extend(f"  {_dot_quote(upper)} -> {_dot_quote(lower)};"
-                 for upper, lower in hasse_edges(p))
+    lines.extend(f"  n{c} [label={_dot_quote(class_label(p, cls))}];"
+                 for c, cls in enumerate(q.classes))
+    lines.extend(f"  n{upper} -> n{lower};" for upper, lower in q.covers())
     lines.append("}")
     return "\n".join(lines) + "\n"

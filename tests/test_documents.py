@@ -121,19 +121,33 @@ def test_render_dot_chain():
     assert dot == (
         "digraph hasse {\n"
         "  rankdir=TB;\n"
-        '  "x1";\n'
-        '  "x2";\n'
-        '  "x3";\n'
-        '  "x1" -> "x2";\n'
-        '  "x2" -> "x3";\n'
+        '  n0 [label="x1"];\n'
+        '  n1 [label="x2"];\n'
+        '  n2 [label="x3"];\n'
+        "  n0 -> n1;\n"
+        "  n1 -> n2;\n"
         "}\n"
     )
 
 
 def test_render_dot_single_class():
     dot = render_dot(families.indifferent(3))
-    assert '"x1,x2,x3";' in dot
+    assert '  n0 [label="x1,x2,x3"];' in dot
     assert "->" not in dot
+
+
+def test_render_dot_comma_label_and_class_stay_apart():
+    # the element "a,b" and the class {a, b} share a label but not a node
+    doc = RelationDocument(labels=("a,b", "a", "b", "c"),
+                           pairs=((1, 2), (2, 1), (1, 3), (0, 3)),
+                           reflexive_closure=True, transitive_closure=True)
+    lines = render_dot(document_to_preorder(doc)).splitlines()
+    nodes = [line for line in lines if "[label=" in line]
+    edges = [line for line in lines if "->" in line]
+    assert nodes == ['  n0 [label="a,b"];', '  n1 [label="a,b"];',
+                     '  n2 [label="c"];']
+    assert edges == ["  n0 -> n2;", "  n1 -> n2;"]
+    assert len(set(edges)) == 2
 
 
 def test_render_dot_stable():
