@@ -13,6 +13,9 @@ Three routes to the same answer, each honest about its feasible range:
   layer condition checked by :func:`condition_star` holds strictly, flags the
   possibly-incomplete answer when it holds weakly, and declines otherwise.
 
+Duality, the index and condition (*)'s inner index all run on the base's
+class quotient (``Preorder.quotient``); no route builds a restricted preorder.
+
 Tie sets are returned in full, sorted deterministically; no canonical
 representative is silently chosen.
 """
