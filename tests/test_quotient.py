@@ -47,10 +47,6 @@ def random_bases():
 CASES = {"all preorders n<=4": universe, "random n=5..7": random_bases}
 
 
-def test_universe_has_389_preorders():
-    assert sum(1 for _ in universe()) == 389
-
-
 @pytest.mark.parametrize("source", CASES)
 def test_quotient_fields_match_element_definitions(source):
     for p in CASES[source]():
