@@ -319,9 +319,6 @@ class TotalPreorder:
                 rows[i] = suffix[pos]
         return Preorder(self.ground, tuple(rows))
 
-    def sort_key(self) -> tuple[Mask, ...]:
-        return self.blocks
-
     def render(self, separator: str = " > ") -> str:
         parts = []
         for b in self.blocks:
@@ -336,7 +333,7 @@ def _require_same_ground(p, q) -> None:
 
 def asymmetric_part(p: Preorder) -> tuple[Mask, ...]:
     """Strict part as raw rows; irreflexive, hence not a Relation."""
-    return tuple(p.rows[i] & ~p.cols[i] for i in range(p.n))
+    return p.strict_down
 
 
 def symmetric_part(p: Preorder) -> Relation:

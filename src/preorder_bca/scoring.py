@@ -40,24 +40,27 @@ def index_total(p: TotalPreorder) -> int:
 def index_general(p: Preorder, max_classes: int | None = None) -> int:
     """Index of an arbitrary preorder: the largest index of any completion."""
     return class_index(p.quotient, (1 << len(p.quotient.classes)) - 1,
-                       max_classes)
+                       max_classes)[0]
 
 
-def class_index(q: Quotient, classes: Mask,
-                max_classes: int | None = None) -> int:
+def class_index(q: Quotient, classes: Mask, max_classes: int | None = None
+                ) -> tuple[int, tuple[tuple[Mask, ...], ...]]:
     """Index of a preorder restricted to the class mask ``classes`` of its
-    quotient ``q``.  The index grows strictly with containment, so only
-    maximal completions are priced, each from its class sizes."""
+    quotient ``q``, and every completion attaining it (class masks, top block
+    first).  The index grows strictly with containment, so only maximal
+    completions are priced, each from its class sizes."""
     from .completions import class_blocks
 
     sizes = q.sizes
-    best = 0
+    best, ties = -1, []
     for blocks in class_blocks(q, classes, "maximal", max_classes):
         value = index_total_from_sizes(
             [sum(sizes[c] for c in iter_bits(b)) for b in blocks])
         if value > best:
-            best = value
-    return best
+            best, ties = value, [blocks]
+        elif value == best:
+            ties.append(blocks)
+    return best, tuple(ties)
 
 
 def normalized_index(p: TotalPreorder):

@@ -5,16 +5,16 @@ Three routes to the same answer, each honest about its feasible range:
 * :func:`bca_bruteforce` scans every total preorder on the ground set and
   keeps the argmin of the top-difference semimetric (the definitional
   problem, exponential in n).
-* :func:`bca_duality` scans only completions of the base and keeps those of
-  maximum index.  The index is strictly increasing in relation containment,
-  so the argmax over all completions is automatically the set of maximal
-  completions of largest index.
+* :func:`bca_duality` keeps the completions of the base of maximum index.
+  The index is strictly increasing in relation containment, so every such
+  completion is maximal, and only the maximal completions are priced.
 * :func:`bca_theorem5` returns the canonical completion outright when the
   layer condition checked by :func:`condition_star` holds strictly, flags the
   possibly-incomplete answer when it holds weakly, and declines otherwise.
 
-Duality, the index and condition (*)'s inner index all run on the base's
-class quotient (``Preorder.quotient``); no route builds a restricted preorder.
+Duality, the index and condition (*)'s inner index are one argmax,
+:func:`scoring.class_index`, over the maximal completions of the base's class
+quotient (``Preorder.quotient``); no route builds a restricted preorder.
 
 Tie sets are returned in full, sorted deterministically; no canonical
 representative is silently chosen.
@@ -34,7 +34,7 @@ from .core import (
     iter_bits,
     layers,
 )
-from .completions import _preorder_rows, canonical_completion, enumerate_completions
+from .completions import MAX_COMPLETION_CLASSES, _preorder_rows, canonical_completion
 from .errors import TooLarge
 from .metrics import top_difference_fast
 from .scoring import class_index, index_total
@@ -86,7 +86,7 @@ class ConditionStarReport:
 
 
 def _sorted_candidates(cands: list[TotalPreorder]) -> tuple[TotalPreorder, ...]:
-    return tuple(sorted(cands, key=lambda c: c.sort_key()))
+    return tuple(sorted(cands, key=lambda c: c.blocks))
 
 
 def bca_bruteforce(base: Preorder, max_n: int | None = None) -> ApproximationReport:
@@ -116,24 +116,18 @@ def bca_duality(base: Preorder, max_classes: int | None = None) -> Approximation
     """Completions of maximum index; equal to the brute-force answer.
 
     Strict monotonicity of the index under containment means no non-maximal
-    completion can attain the maximum, so the full completion stream needs no
-    maximality filtering.
+    completion can attain the maximum: only the maximal completions are
+    priced (:func:`scoring.class_index`), and only the ties are expanded.
     """
-    best: int | None = None
-    argmax: list[TotalPreorder] = []
-    for cand in enumerate_completions(base, "all", max_classes=max_classes):
-        value = index_total(cand)
-        if best is None or value > best:
-            best = value
-            argmax = [cand]
-        elif value == best:
-            argmax.append(cand)
-    assert best is not None
-    ordered = _sorted_candidates(argmax)
+    q = base.quotient
+    best, ties = class_index(q, (1 << len(q.classes)) - 1, max_classes)
+    ordered = _sorted_candidates([
+        TotalPreorder(base.ground, tuple(q.expand(b) for b in blocks))
+        for blocks in ties])
     return ApproximationReport(
         bca_set=ordered,
         distance=top_difference_fast(base, ordered[0].as_preorder),
-        indices=tuple(best for _ in ordered),
+        indices=(best,) * len(ordered),
         method="duality",
     )
 
@@ -166,7 +160,13 @@ def condition_star(base: Preorder, max_layer: int | None = None) -> ConditionSta
             for x in iter_bits(layer & ~s):
                 below &= ~base.strict_down[x]
             if below:
-                value = class_index(base.quotient, base.quotient.classes_in(below))
+                y = base.quotient.classes_in(below)
+                try:
+                    value = class_index(base.quotient, y)[0]
+                except TooLarge:  # name Y, not the base
+                    raise TooLarge(f"layer {i}: Y has {y.bit_count()} indifference "
+                                   f"classes; completion enumeration guard is "
+                                   f"{MAX_COMPLETION_CLASSES}") from None
                 bound = 1 << (s.bit_count() + below.bit_count())
                 if value > bound:
                     verdict = FAILS
@@ -205,18 +205,16 @@ def bca_theorem5(base: Preorder, max_layer: int | None = None,
 
 def bca_auto(base: Preorder,
              star: ConditionStarReport | None = None) -> ApproximationReport:
-    """Cheapest certain route: theorem5 when strict, else duality, else the
-    full sweep.  ``star`` is passed on to :func:`bca_theorem5`."""
+    """Cheapest certain route: theorem5 when strict, else duality, whose class
+    guard refuses no base brute force could take (classes <= elements).
+    ``star`` is passed on to :func:`bca_theorem5`."""
     try:
         report = bca_theorem5(base, star=star)
     except TooLarge:
         report = None
     if report is not None and report.complete_set:
         return report
-    try:
-        return bca_duality(base)
-    except TooLarge:
-        return bca_bruteforce(base)
+    return bca_duality(base)
 
 
 @record

@@ -5,12 +5,21 @@ the preorder's element rows on its own, the way the package did before every
 route read one cached quotient: an O(k^2) ``holds`` loop for class
 dominators, ``maximal_elements`` rescans for the layers, a pairwise
 transitive reduction for the Hasse edges, and condition (*)'s inner index on
-a restricted ``Preorder`` per Y.
+a restricted ``Preorder`` per Y.  ``bca_duality`` is the duality route from
+before the index argmax moved into ``scoring.class_index``: it prices every
+completion, maximal or not, as a ``TotalPreorder``.
 """
 
 from __future__ import annotations
 
-from preorder_bca import Preorder, TotalPreorder, maximal_elements, restrict
+from preorder_bca import (
+    Preorder,
+    TotalPreorder,
+    enumerate_completions,
+    maximal_elements,
+    restrict,
+    top_difference_fast,
+)
 from preorder_bca.completions import MAX_COMPLETION_CLASSES
 from preorder_bca.core import class_label, iter_bits
 from preorder_bca.errors import TooLarge
@@ -20,6 +29,7 @@ from preorder_bca.solver import (
     MAX_CONDITION_LAYER,
     STRICT,
     WEAK,
+    ApproximationReport,
     ConditionStarReport,
     ConditionStarWitness,
 )
@@ -149,3 +159,23 @@ def condition_star(base: Preorder) -> ConditionStarReport:
                     witnesses.append(ConditionStarWitness(i, s, below, value, bound))
             s = (s - layer) & layer
     return ConditionStarReport(verdict, tuple(witnesses))
+
+
+def bca_duality(base: Preorder) -> ApproximationReport:
+    """The argmax of ``index_total`` over every completion of ``base``."""
+    best = None
+    argmax = []
+    for cand in enumerate_completions(base, "all"):
+        value = index_total(cand)
+        if best is None or value > best:
+            best = value
+            argmax = [cand]
+        elif value == best:
+            argmax.append(cand)
+    ordered = tuple(sorted(argmax, key=lambda c: c.blocks))
+    return ApproximationReport(
+        bca_set=ordered,
+        distance=top_difference_fast(base, ordered[0].as_preorder),
+        indices=tuple(best for _ in ordered),
+        method="duality",
+    )

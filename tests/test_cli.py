@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import preorder_bca
-from preorder_bca import cli, parse_document
+from preorder_bca import TooLarge, bca_auto, cli, families, parse_document
 from preorder_bca.documents import document_to_json
 from conftest import random_preorder
 
@@ -91,6 +91,19 @@ def test_bca_guard_exit_code(capsys):
                            fixture("ex6_fence"), "--method", "bruteforce")
     assert code == 4
     assert "guard" in err
+
+
+def test_bca_auto_refusal_is_the_completion_guard(tmp_path, capsys):
+    # auto has no brute-force fallback: past duality's class guard it refuses
+    message = "base has 32 indifference classes; completion enumeration guard is 9"
+    with pytest.raises(TooLarge, match=f"^{message}$"):
+        bca_auto(families.containment_order(5))
+    code, out, _ = run_cli(capsys, "generate", "containment", "--z", "5")
+    assert code == 0
+    doc = tmp_path / "containment5.json"
+    doc.write_text(out)
+    code, out, err = run_cli(capsys, "bca", str(doc))
+    assert (code, out, err) == (4, "", f"guard: {message}\n")
 
 
 def test_bca_theorem5_not_applicable(capsys):

@@ -1,6 +1,7 @@
 """``Preorder.quotient`` and every route that reads it, checked against the
 element-level routes in ``quotient_oracle`` on all 389 preorders with n <= 4
-and on seeded random bases with n = 5..7."""
+and on seeded random bases with n = 5..7: the completion streams, layers,
+Hasse edges, the index, condition (*) and duality's tie set."""
 
 import random
 
@@ -11,9 +12,11 @@ from preorder_bca import (
     GroundSet,
     TooLarge,
     bca_auto,
+    bca_duality,
     condition_star,
     enumerate_completions,
     enumerate_preorders,
+    families,
     hasse_edges,
     index_general,
     layers,
@@ -100,19 +103,31 @@ def test_index_and_condition_star_match_oracle(source):
         assert condition_star(p) == oracle.condition_star(p)
 
 
+@pytest.mark.parametrize("source", CASES)
+def test_bca_duality_matches_oracle(source):
+    # tie set, distance and indices of the maximal-completion argmax equal
+    # those of the argmax over every completion
+    for p in CASES[source]():
+        assert bca_duality(p) == oracle.bca_duality(p), p
+
+
 def wide_inner_base():
     # layer 1 = {t, u}; S = {t} gives Y = the ten-element antichain below t
     labels = ["t", "u"] + [f"a{i}" for i in range(10)]
     return closure_preorder(labels, [("t", f"a{i}") for i in range(10)])
 
 
-def test_inner_index_guard_message_unchanged():
+def test_inner_index_guard_names_layer_and_y():
+    # the 12-class base is not what the guard counts: Y's classes are
     base = wide_inner_base()
-    message = "base has 10 indifference classes; completion enumeration guard is 9"
-    with pytest.raises(TooLarge, match=message):
+    with pytest.raises(TooLarge):
         oracle.condition_star(base)
-    with pytest.raises(TooLarge, match=message):
+    with pytest.raises(TooLarge, match="^layer 1: Y has 10 indifference classes; "
+                                       "completion enumeration guard is 9$"):
         condition_star(base)
+    with pytest.raises(TooLarge, match="^layer 2: Y has 11 indifference classes; "
+                                       "completion enumeration guard is 9$"):
+        condition_star(families.containment_order(5))
 
 
 def test_bca_auto_falls_through_to_duality_on_a_wide_layer():
