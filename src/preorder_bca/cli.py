@@ -25,7 +25,6 @@ from .core import (
     MAX_GROUND,
     GroundSet,
     Preorder,
-    Relation,
     incomparable_witness,
     transitive_closure_rows,
 )
@@ -141,33 +140,21 @@ def cmd_metric(args) -> int:
 
 
 def cmd_bca(args) -> int:
-    from .solver import (
-        bca_auto,
-        bca_bruteforce,
-        bca_duality,
-        bca_theorem5,
-        condition_star,
-    )
+    from .solver import bca_auto, bca_bruteforce, bca_duality, bca_theorem5
 
     base = _load_preorder(args.file)
-    star = None
     if args.method == "auto":
-        try:
-            star = condition_star(base)
-        except TooLarge:
-            pass
-        report = bca_auto(base, star=star)
+        report = bca_auto(base)
     elif args.method == "bruteforce":
         report = bca_bruteforce(base, max_n=args.max_n)
     elif args.method == "duality":
         report = bca_duality(base, max_classes=args.max_n)
     else:
-        star = condition_star(base, max_layer=args.max_n)
-        maybe = bca_theorem5(base, star=star)
-        if maybe is None:
+        report = bca_theorem5(base, max_layer=args.max_n)
+        if report is None:
             print("not applicable: condition (*) fails for this relation")
             return EXIT_SEMANTIC
-        report = maybe
+    star = report.condition_star
     verdict = None if star is None else star.verdict
     if args.emit == "json":
         sys.stdout.write(_report_json(report, verdict))
@@ -219,7 +206,7 @@ def cmd_condition_star(args) -> int:
     return EXIT_OK
 
 
-def _random_document(n: int, density: float, seed: int) -> RelationDocument:
+def _random_preorder(n: int, density: float, seed: int) -> Preorder:
     import random
 
     rng = random.Random(seed)
@@ -228,10 +215,8 @@ def _random_document(n: int, density: float, seed: int) -> RelationDocument:
         for j in range(n):
             if i != j and rng.random() < density:
                 rows[i] |= 1 << j
-    rows = transitive_closure_rows(rows)
     labels = tuple(f"x{i}" for i in range(1, n + 1))
-    rel = Relation(GroundSet(labels), tuple(rows))
-    return document_from_relation(rel)
+    return Preorder(GroundSet(labels), tuple(transitive_closure_rows(rows)))
 
 
 def cmd_generate(args) -> int:
@@ -242,15 +227,17 @@ def cmd_generate(args) -> int:
             raise BadParameter("random family needs --n")
         if not 0 <= args.density <= 1:
             raise BadParameter(f"--density must be in [0, 1], got {args.density}")
-        doc = _random_document(args.n, args.density, args.seed)
-        sys.stdout.write(document_to_json(doc))
-        return EXIT_OK
-    from .families import FamilySpec
+        if args.expected_bca:
+            raise BadParameter("random family has no closed-form best "
+                               "approximation; drop --expected-bca")
+        built = _random_preorder(args.n, args.density, args.seed)
+    else:
+        from .families import FamilySpec
 
-    params = {name: getattr(args, name) for name in _FAMILY_FLAGS
-              if getattr(args, name) is not None}
-    spec = FamilySpec(args.family, params)
-    built = spec.build()
+        params = {name: getattr(args, name) for name in _FAMILY_FLAGS
+                  if getattr(args, name) is not None}
+        spec = FamilySpec(args.family, params)
+        built = spec.build()
     if args.emit == "dot":
         sys.stdout.write(render_dot(built, name=args.family))
         return EXIT_OK

@@ -36,6 +36,13 @@ def _short(value) -> str:
     return text if len(text) <= 80 else text[:40] + "..." + text[-37:]
 
 
+def _is_pair(entry, kind: type) -> bool:
+    """Whether ``entry`` is a ``kind`` (tuple or list) of two integers;
+    booleans are not integers here."""
+    return (isinstance(entry, kind) and len(entry) == 2 and all(
+        isinstance(t, int) and not isinstance(t, bool) for t in entry))
+
+
 @record
 class RelationDocument:
     labels: tuple[str, ...]
@@ -53,6 +60,8 @@ class RelationDocument:
             raise DocumentError("document labels must be distinct")
         n = len(self.labels)
         for pair in self.pairs:
+            if not _is_pair(pair, tuple):
+                raise DocumentError(f"bad pair entry: {_short(pair)}")
             i, j = pair
             if not (0 <= i < n and 0 <= j < n):
                 raise DocumentError(f"pair {_short(pair)} is out of range for "
@@ -89,8 +98,7 @@ def parse_document(text: str) -> RelationDocument:
         raise DocumentError("pairs must be a list of [i, j] index pairs")
     norm_pairs = []
     for pair in pairs:
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(t, int) and not isinstance(t, bool) for t in pair)):
+        if not _is_pair(pair, list):
             raise DocumentError(f"bad pair entry: {_short(pair)}")
         norm_pairs.append((pair[0], pair[1]))
     return RelationDocument(

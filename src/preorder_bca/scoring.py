@@ -65,18 +65,12 @@ def class_index(q: Quotient, classes: Mask, max_classes: int | None = None
 
 def normalized_index(p: TotalPreorder):
     """Normalized index, an exact ``fractions.Fraction``: the sum over x of
-    2^-(strict dominators of x).
+    2^-(strict dominators of x), which is :func:`layer_composition` of the
+    block sizes.
 
     Satisfies 2^n * normalized_index(p) == index_total(p) exactly.
     """
-    from fractions import Fraction
-
-    total = Fraction(0)
-    above = 0
-    for b in p.blocks:
-        total += Fraction(b.bit_count(), 1 << above)
-        above += b.bit_count()
-    return total
+    return layer_composition(p.block_sizes())
 
 
 def layer_composition(sizes):

@@ -12,6 +12,9 @@ Three routes to the same answer, each honest about its feasible range:
   layer condition checked by :func:`condition_star` holds strictly, flags the
   possibly-incomplete answer when it holds weakly, and declines otherwise.
 
+:func:`bca_auto` alone chooses a route: one condition (*) check, theorem 5
+on a strict verdict, duality otherwise, and the verdict on its report.
+
 Duality, the index and condition (*)'s inner index are one argmax,
 :func:`scoring.class_index`, over the maximal completions of the base's class
 quotient (``Preorder.quotient``); no route builds a restricted preorder.
@@ -51,16 +54,22 @@ FAILS = "fails"
 @record
 class ApproximationReport:
     """Solver output: the tie set, its common distance, per-candidate indices,
-    and the route that produced it.  ``complete_set`` is False only when the
-    canonical fast path ran under weak layer-condition satisfaction, where
-    the canonical completion is known to belong to the answer but may not
-    exhaust it."""
+    the route that produced it, and the condition (*) report the route read
+    (None when it checked no condition (*) or the check's guard refused)."""
 
     bca_set: tuple[TotalPreorder, ...]
     distance: int
     indices: tuple[int, ...]
     method: str
-    complete_set: bool = True
+    condition_star: ConditionStarReport | None = None
+
+    @property
+    def complete_set(self) -> bool:
+        """False only for a theorem-5 answer under a weak verdict: the
+        canonical completion belongs to the answer but may not exhaust it."""
+        star = self.condition_star
+        return not (self.method == "theorem5" and star is not None
+                    and star.verdict == WEAK)
 
 
 @record
@@ -179,42 +188,43 @@ def condition_star(base: Preorder, max_layer: int | None = None) -> ConditionSta
     return ConditionStarReport(verdict, tuple(witnesses))
 
 
-def bca_theorem5(base: Preorder, max_layer: int | None = None,
-                 star: ConditionStarReport | None = None
+def _canonical_report(base: Preorder, star: ConditionStarReport
+                      ) -> ApproximationReport:
+    canonical = canonical_completion(base)
+    return ApproximationReport(
+        (canonical,), top_difference_fast(base, canonical.as_preorder),
+        (index_total(canonical),), "theorem5", star)
+
+
+def bca_theorem5(base: Preorder, max_layer: int | None = None
                  ) -> ApproximationReport | None:
     """Canonical-completion fast path.
 
     Returns the unique answer when the layer condition holds strictly, a
     ``complete_set=False`` report when it holds weakly (the canonical
     completion belongs to the answer but other members may exist), and None
-    when the condition fails.  ``star`` is the condition (*) report of
-    ``base`` when the caller has already computed it.
+    when the condition fails.  The report carries the condition (*) report.
     """
-    report = condition_star(base, max_layer=max_layer) if star is None else star
-    if report.verdict == FAILS:
+    star = condition_star(base, max_layer=max_layer)
+    if star.verdict == FAILS:
         return None
-    canonical = canonical_completion(base)
-    return ApproximationReport(
-        bca_set=(canonical,),
-        distance=top_difference_fast(base, canonical.as_preorder),
-        indices=(index_total(canonical),),
-        method="theorem5",
-        complete_set=report.verdict == STRICT,
-    )
+    return _canonical_report(base, star)
 
 
-def bca_auto(base: Preorder,
-             star: ConditionStarReport | None = None) -> ApproximationReport:
-    """Cheapest certain route: theorem5 when strict, else duality, whose class
-    guard refuses no base brute force could take (classes <= elements).
-    ``star`` is passed on to :func:`bca_theorem5`."""
+def bca_auto(base: Preorder) -> ApproximationReport:
+    """Cheapest certain route, chosen by one condition (*) check: theorem 5
+    when the verdict is strict, else duality, whose class guard refuses no
+    base brute force could take (classes <= elements).  The report carries
+    the verdict; ``condition_star`` is None when the check's guard refused."""
     try:
-        report = bca_theorem5(base, star=star)
+        star = condition_star(base)
     except TooLarge:
-        report = None
-    if report is not None and report.complete_set:
-        return report
-    return bca_duality(base)
+        star = None
+    if star is not None and star.verdict == STRICT:
+        return _canonical_report(base, star)
+    report = bca_duality(base)
+    return ApproximationReport(report.bca_set, report.distance, report.indices,
+                               report.method, star)
 
 
 @record

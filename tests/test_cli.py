@@ -9,7 +9,8 @@ import pytest
 
 import preorder_bca
 from preorder_bca import TooLarge, bca_auto, cli, families, parse_document
-from preorder_bca.documents import document_to_json
+from preorder_bca.documents import (document_to_json, document_to_preorder,
+                                    render_dot)
 from conftest import random_preorder
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -267,6 +268,21 @@ def test_generate_dot_emission(capsys):
     assert out.count("->") == 5
 
 
+def test_generate_random_shares_the_family_emission(capsys):
+    code, doc, _ = run_cli(capsys, "--seed", "3", "generate", "random", "--n", "5")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "--seed", "3", "--emit", "dot",
+                           "generate", "random", "--n", "5")
+    assert code == 0
+    assert out == render_dot(document_to_preorder(parse_document(doc)),
+                             name="random")
+    # a random preorder has no closed-form answer to pair it with
+    code, out, err = run_cli(capsys, "generate", "random", "--n", "3",
+                             "--expected-bca")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "--expected-bca" in err
+
+
 def test_condition_star_strict_has_no_witness_line(capsys):
     code, out, _ = run_cli(capsys, "condition-star", fixture("chain3"))
     assert code == 0
@@ -312,24 +328,44 @@ def test_bca_theorem5_honours_max_n(capsys):
     assert err.startswith("guard:")
 
 
-def test_bca_computes_condition_star_once(capsys, monkeypatch):
-    from preorder_bca import solver
+def test_bca_computes_condition_star_once(tmp_path, capsys, monkeypatch):
+    from preorder_bca import completions, solver
 
     calls = []
-    real = solver.condition_star
+    canonical_calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(real, log):
+        def counted(*args, **kwargs):
+            log.append(args)
+            return real(*args, **kwargs)
+        return counted
 
     # the CLI may bind the solver's function under its own name as well
+    counted = counting(solver.condition_star, calls)
     monkeypatch.setattr(solver, "condition_star", counted)
     monkeypatch.setattr(cli, "condition_star", counted, raising=False)
+    canonical = counting(completions.canonical_completion, canonical_calls)
+    monkeypatch.setattr(solver, "canonical_completion", canonical)
+    monkeypatch.setattr(completions, "canonical_completion", canonical)
     for method in ("auto", "theorem5"):
         calls.clear()
         code, _, _ = run_cli(capsys, "bca", fixture("ex5_base"), "--method", method)
         assert code == 0
         assert len(calls) == 1, method
+    # ex5's verdict is weak: auto answers by duality and builds no canonical
+    # completion it would discard
+    canonical_calls.clear()
+    code, _, _ = run_cli(capsys, "bca", fixture("ex5_base"))
+    assert (code, len(canonical_calls)) == (0, 0)
+    # a refusal of condition (*)'s guard is not retried
+    code, out, _ = run_cli(capsys, "generate", "containment", "--z", "5")
+    doc = tmp_path / "containment5.json"
+    doc.write_text(out)
+    calls.clear()
+    code, out, err = run_cli(capsys, "bca", str(doc))
+    assert (code, out, len(calls)) == (4, "", 1)
+    assert err == ("guard: base has 32 indifference classes; completion "
+                   "enumeration guard is 9\n")
 
 
 def test_deeply_nested_json_is_a_document_error(tmp_path, capsys):

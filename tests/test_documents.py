@@ -72,6 +72,12 @@ def test_parse_is_strict_about_field_types():
     assert doc.reflexive_closure is False and doc.transitive_closure is False
 
 
+def test_constructor_rejects_bad_pair_entries():
+    for entry in ((0, 0, 0), ("0", 0), (True, 0), (0, False), [0, 1], (0,), 5):
+        with pytest.raises(DocumentError, match="^bad pair entry: "):
+            RelationDocument(labels=("a", "b"), pairs=(entry,))
+
+
 def test_closures_applied():
     doc = RelationDocument(labels=("a", "b", "c"), pairs=((0, 1), (1, 2)),
                            reflexive_closure=True, transitive_closure=True)

@@ -14,6 +14,7 @@ import pytest
 import preorder_bca
 from preorder_bca import (
     ApproximationReport,
+    ConditionStarReport,
     DocumentError,
     GroundSet,
     Preorder,
@@ -169,13 +170,19 @@ def test_approximation_report_record_semantics():
     total = to_total(p)
     report = ApproximationReport(bca_set=(total,), distance=3, indices=(12,),
                                  method="duality")
-    assert report.complete_set is True
-    assert report == ApproximationReport((total,), 3, (12,), "duality", True)
-    assert report != ApproximationReport((total,), 3, (12,), "duality", False)
+    assert report.condition_star is None and report.complete_set is True
+    weak = ConditionStarReport("weak", ())
+    assert report == ApproximationReport((total,), 3, (12,), "duality", None)
+    assert report != ApproximationReport((total,), 3, (12,), "duality", weak)
     assert len({report, ApproximationReport((total,), 3, (12,), "duality")}) == 1
+    # complete_set is derived: False only for theorem 5 under a weak verdict
+    assert ApproximationReport((total,), 3, (12,), "duality", weak).complete_set
+    assert not ApproximationReport((total,), 3, (12,), "theorem5", weak).complete_set
     assert repr(report) == (
         "ApproximationReport(bca_set=(TotalPreorder(ground=GroundSet("
         "labels=('a', 'b')), blocks=(1, 2)),), distance=3, indices=(12,), "
-        "method='duality', complete_set=True)")
+        "method='duality', condition_star=None)")
     with pytest.raises(AttributeError):
         report.distance = 0
+    with pytest.raises(TypeError):
+        ApproximationReport((total,), 3, (12,), "duality", complete_set=True)

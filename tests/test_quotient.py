@@ -137,4 +137,6 @@ def test_bca_auto_falls_through_to_duality_on_a_wide_layer():
     base = closure_preorder(labels, pairs)
     with pytest.raises(TooLarge):
         condition_star(base)
-    assert bca_auto(base).method == "duality"
+    report = bca_auto(base)
+    assert report.method == "duality"
+    assert report.condition_star is None

@@ -186,6 +186,12 @@ def test_bca_auto_routes():
     assert len(weak.bca_set) == 2
     fails = bca_auto(wx.example8_base())
     assert fails.method == "duality"
+    # the report carries the verdict that chose the route
+    for report, base in ((strict, families.containment_order(2)),
+                         (weak, wx.example5_base()),
+                         (fails, wx.example8_base())):
+        assert report.condition_star == condition_star(base)
+        assert report.complete_set
 
 
 def test_bruteforce_guard():
