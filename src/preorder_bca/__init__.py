@@ -20,11 +20,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": (
         "GroundSet", "Mask", "Preorder", "Relation", "TotalPreorder",
-        "asymmetric_part", "converse", "down_set", "hasse_edges",
-        "incomparable_witness", "is_completion", "is_total", "layers",
-        "maximal_elements", "maximum_elements", "preorder_from_predicate",
-        "relation_from_pairs", "relation_violations", "restrict",
-        "symmetric_part", "to_total", "up_set", "validate_preorder",
+        "down_set", "hasse_edges", "incomparable_witness", "is_completion",
+        "is_total", "layers", "maximal_elements", "preorder_from_predicate",
+        "relation_violations", "to_total", "validate_preorder",
     ),
     "completions": (
         "CompletionStream", "canonical_completion", "enumerate_completions",
@@ -43,10 +41,8 @@ _EXPORTS = {
     ),
     "families": ("FamilySpec",),
     "metrics": (
-        "DominationProfile", "MenuDelta", "StrictCompletionReport",
-        "domination_profile", "delta_menu", "ksb_distance",
-        "top_difference_direct", "top_difference_fast",
-        "verify_strict_optimality",
+        "StrictCompletionReport", "ksb_distance", "top_difference_direct",
+        "top_difference_fast", "verify_strict_optimality",
     ),
     "scoring": (
         "index_general", "index_total", "layer_composition", "normalized_index",

@@ -239,6 +239,8 @@ def cmd_generate(args) -> int:
         spec = FamilySpec(args.family, params)
         built = spec.build()
     if args.emit == "dot":
+        if args.expected_bca:
+            raise BadParameter("--emit dot draws the family only; drop --expected-bca")
         sys.stdout.write(render_dot(built, name=args.family))
         return EXIT_OK
     doc = document_from_relation(built)

@@ -43,10 +43,6 @@ def iter_bits(mask: Mask) -> Iterator[int]:
         mask ^= low
 
 
-def bits_tuple(mask: Mask) -> tuple[int, ...]:
-    return tuple(iter_bits(mask))
-
-
 @record
 class GroundSet:
     """A labelled finite set; labels must be distinct, 1 <= n <= 64."""
@@ -240,18 +236,6 @@ def transitive_closure_rows(rows: list[Mask]) -> list[Mask]:
     return rows
 
 
-def relation_from_pairs(labels, pairs) -> Relation:
-    """Reflexive relation on ``labels`` holding exactly ``pairs`` (+ diagonal).
-
-    Pairs are (upper, lower) index tuples meaning upper >= lower.
-    """
-    ground = GroundSet(tuple(labels))
-    rows = [1 << i for i in range(ground.n)]
-    for i, j in pairs:
-        rows[i] |= 1 << j
-    return Relation(ground, tuple(rows))
-
-
 def preorder_from_predicate(labels, weakly_above) -> Preorder:
     """Build and validate a preorder from a label-level comparator.
 
@@ -331,36 +315,6 @@ def _require_same_ground(p, q) -> None:
         raise GroundMismatch("relations live on different ground sets")
 
 
-def asymmetric_part(p: Preorder) -> tuple[Mask, ...]:
-    """Strict part as raw rows; irreflexive, hence not a Relation."""
-    return p.strict_down
-
-
-def symmetric_part(p: Preorder) -> Relation:
-    return Relation(p.ground, tuple(p.rows[i] & p.cols[i] for i in range(p.n)))
-
-
-def converse(p: Preorder) -> Preorder:
-    """The reversed preorder (x >= y iff y >=_p x)."""
-    return Preorder(p.ground, p.cols)
-
-
-def restrict(p: Preorder, members: Mask) -> Preorder:
-    """Restriction of ``p`` to ``members``; labels are preserved."""
-    if members == 0:
-        raise EmptySubset("cannot restrict to the empty set")
-    keep = bits_tuple(members)
-    ground = GroundSet(tuple(p.ground.labels[i] for i in keep))
-    rows = []
-    for i in keep:
-        row = 0
-        for new_j, j in enumerate(keep):
-            if (p.rows[i] >> j) & 1:
-                row |= 1 << new_j
-        rows.append(row)
-    return Preorder(ground, tuple(rows))
-
-
 def maximal_elements(p: Preorder, s: Mask) -> Mask:
     """M(S, >=): members of S strictly dominated by no member of S."""
     if s == 0:
@@ -372,23 +326,8 @@ def maximal_elements(p: Preorder, s: Mask) -> Mask:
     return out
 
 
-def maximum_elements(p: Preorder, s: Mask) -> Mask:
-    """m(S, >=): members of S weakly above every member of S (may be empty)."""
-    if s == 0:
-        raise EmptySubset("maxima are defined only for nonempty menus")
-    out = 0
-    for x in iter_bits(s):
-        if p.rows[x] & s == s:
-            out |= 1 << x
-    return out
-
-
 def down_set(p: Preorder, x: int, strict: bool = False) -> Mask:
     return p.strict_down[x] if strict else p.rows[x]
-
-
-def up_set(p: Preorder, x: int, strict: bool = False) -> Mask:
-    return p.strict_up[x] if strict else p.cols[x]
 
 
 def layers(p: Preorder) -> tuple[Mask, ...]:

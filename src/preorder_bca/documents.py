@@ -4,6 +4,11 @@ A document carries labels plus an explicit pair list, with optional closure
 flags so fixtures can be written either as Hasse edges (closures on) or as
 full relations (closures off).  Emission is byte-stable: fixed key order,
 two-space indent, trailing newline.
+
+Every check on a document's values lives in the :class:`RelationDocument`
+constructor, so JSON text and library callers meet the same checks with the
+same messages; :func:`parse_document` checks only the JSON shape (an object
+with the required fields, and lists where lists are due).
 """
 
 from __future__ import annotations
@@ -52,8 +57,18 @@ class RelationDocument:
     schema: str = SCHEMA
 
     def __post_init__(self):
+        if not isinstance(self.schema, str):
+            raise DocumentError(f"schema must be a string, got {_short(self.schema)}")
         if self.schema != SCHEMA:
             raise DocumentError(f"unsupported schema: {_short(self.schema)}")
+        if not all(isinstance(s, str) for s in self.labels):
+            raise DocumentError("labels must be a list of strings")
+        for label in self.labels:
+            try:
+                label.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise DocumentError(f"label {_short(label)} is not valid Unicode "
+                                    f"text (lone surrogate)") from exc
         if not self.labels:
             raise DocumentError("document needs at least one label")
         if len(set(self.labels)) != len(self.labels):
@@ -66,6 +81,11 @@ class RelationDocument:
             if not (0 <= i < n and 0 <= j < n):
                 raise DocumentError(f"pair {_short(pair)} is out of range for "
                                     f"{n} labels")
+        for name in ("reflexive_closure", "transitive_closure"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise DocumentError(f"{name} must be true or false, got "
+                                    f"{_short(value)}")
 
 
 def parse_document(text: str) -> RelationDocument:
@@ -84,16 +104,8 @@ def parse_document(text: str) -> RelationDocument:
         pairs = raw["pairs"]
     except KeyError as exc:
         raise DocumentError(f"missing document field: {exc}") from exc
-    if not isinstance(schema, str):
-        raise DocumentError(f"schema must be a string, got {_short(schema)}")
-    if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
+    if not isinstance(labels, list):
         raise DocumentError("labels must be a list of strings")
-    for label in labels:
-        try:
-            label.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise DocumentError(f"label {_short(label)} is not valid Unicode text "
-                                f"(lone surrogate)") from exc
     if not isinstance(pairs, list):
         raise DocumentError("pairs must be a list of [i, j] index pairs")
     norm_pairs = []
@@ -104,17 +116,10 @@ def parse_document(text: str) -> RelationDocument:
     return RelationDocument(
         labels=tuple(labels),
         pairs=tuple(norm_pairs),
-        reflexive_closure=_flag(raw, "reflexive_closure"),
-        transitive_closure=_flag(raw, "transitive_closure"),
+        reflexive_closure=raw.get("reflexive_closure", False),
+        transitive_closure=raw.get("transitive_closure", False),
         schema=schema,
     )
-
-
-def _flag(raw: dict, name: str) -> bool:
-    value = raw.get(name, False)
-    if not isinstance(value, bool):
-        raise DocumentError(f"{name} must be true or false, got {_short(value)}")
-    return value
 
 
 def document_payload(doc: RelationDocument) -> dict:

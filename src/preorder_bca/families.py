@@ -299,6 +299,10 @@ class FamilySpec:
         if given != tuple(sorted(expected)):
             raise BadParameter(f"{self.kind} takes parameters {expected}, "
                                f"got {given}")
+        for name, value in self.params.items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise BadParameter(f"{self.kind} parameter {name} must be an "
+                                   f"integer, got {value!r}")
         object.__setattr__(self, "params", dict(self.params))
 
     def _args(self) -> list[int]:

@@ -15,41 +15,11 @@ from __future__ import annotations
 
 from . import _backend
 from ._record import record
-from .core import (Mask, Preorder, TotalPreorder, _require_same_ground,
-                   maximal_elements)
-from .errors import EmptySubset, TooLarge
+from .core import Preorder, TotalPreorder, _require_same_ground
+from .errors import TooLarge
 
 MAX_DIRECT_N = 20
 MAX_STRICT_OPT_N = 5
-
-
-@record
-class MenuDelta:
-    menu: Mask
-    delta: int
-
-
-@record
-class DominationProfile:
-    """Per-element counts from the closed-form derivation.
-
-    ``neither[x]`` counts the elements (other than x) strictly above x in
-    neither relation; ``only_first``/``only_second`` count those strictly
-    above x in exactly one of them.
-    """
-
-    neither: tuple[int, ...]
-    only_first: tuple[int, ...]
-    only_second: tuple[int, ...]
-
-
-def delta_menu(p: Preorder, q: Preorder, s: Mask) -> MenuDelta:
-    """Size of the symmetric difference of the two maximal sets on menu ``s``."""
-    _require_same_ground(p, q)
-    if s == 0:
-        raise EmptySubset("menus are nonempty")
-    diff = maximal_elements(p, s) ^ maximal_elements(q, s)
-    return MenuDelta(s, diff.bit_count())
 
 
 def top_difference_direct(p: Preorder, q: Preorder,
@@ -66,18 +36,6 @@ def top_difference_direct(p: Preorder, q: Preorder,
         raise TooLarge(f"direct menu sweep on {p.n} elements exceeds the "
                        f"guard ({limit}); raise max_n to insist")
     return _backend.direct_distance(p.n, p.strict_up, q.strict_up)
-
-
-def domination_profile(p: Preorder, q: Preorder) -> DominationProfile:
-    _require_same_ground(p, q)
-    n = p.n
-    neither, first, second = [], [], []
-    for x in range(n):
-        a, b = p.strict_up[x], q.strict_up[x]
-        neither.append(n - 1 - (a | b).bit_count())
-        first.append((a & ~b).bit_count())
-        second.append((b & ~a).bit_count())
-    return DominationProfile(tuple(neither), tuple(first), tuple(second))
 
 
 def top_difference_fast(p: Preorder, q: Preorder) -> int:

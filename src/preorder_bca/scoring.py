@@ -10,7 +10,7 @@ exact identities, so they are ``fractions.Fraction`` values, not floats;
 from __future__ import annotations
 
 from .core import Mask, Preorder, Quotient, TotalPreorder, down_set, iter_bits
-from .errors import EmptySequence
+from .errors import BadParameter, EmptySequence
 
 
 def score(p: Preorder, x: int) -> int:
@@ -89,6 +89,8 @@ def layer_composition(sizes):
     total = Fraction(0)
     prefix = 0
     for size in sizes:
+        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+            raise BadParameter(f"layer sizes must be positive integers, got {size!r}")
         total += Fraction(size, 1 << prefix)
         prefix += size
     return total

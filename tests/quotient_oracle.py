@@ -13,16 +13,16 @@ completion, maximal or not, as a ``TotalPreorder``.
 from __future__ import annotations
 
 from preorder_bca import (
+    GroundSet,
     Preorder,
     TotalPreorder,
     enumerate_completions,
     maximal_elements,
-    restrict,
     top_difference_fast,
 )
 from preorder_bca.completions import MAX_COMPLETION_CLASSES
 from preorder_bca.core import class_label, iter_bits
-from preorder_bca.errors import TooLarge
+from preorder_bca.errors import EmptySubset, TooLarge
 from preorder_bca.scoring import index_total
 from preorder_bca.solver import (
     FAILS,
@@ -33,6 +33,22 @@ from preorder_bca.solver import (
     ConditionStarReport,
     ConditionStarWitness,
 )
+
+
+def restrict(p: Preorder, members: int) -> Preorder:
+    """Restriction of ``p`` to ``members``; labels are preserved."""
+    if members == 0:
+        raise EmptySubset("cannot restrict to the empty set")
+    keep = tuple(iter_bits(members))
+    ground = GroundSet(tuple(p.ground.labels[i] for i in keep))
+    rows = []
+    for i in keep:
+        row = 0
+        for new_j, j in enumerate(keep):
+            if (p.rows[i] >> j) & 1:
+                row |= 1 << new_j
+        rows.append(row)
+    return Preorder(ground, tuple(rows))
 
 
 def indifference_classes(p: Preorder) -> tuple[int, ...]:

@@ -14,12 +14,12 @@ from fractions import Fraction
 import worked_examples as wx
 from preorder_bca import (
     GroundSet,
+    Preorder,
     bca_bruteforce,
     bca_duality,
     canonical_completion,
     cli,
     condition_star,
-    converse,
     covering_radius,
     document_from_relation,
     document_to_json,
@@ -218,7 +218,8 @@ def test_criterion_6_condition_star_verdicts():
     # reversed word order: every binding witness is an exact equality (the
     # same arithmetic as Example 5), so the condition is not satisfied, and
     # the canonical completion is still the unique brute-force answer
-    rev = converse(families.word_prefix_order(2, 2))
+    word = families.word_prefix_order(2, 2)
+    rev = Preorder(word.ground, word.cols)
     rev_report = condition_star(rev)
     assert rev_report.verdict == "weak"
     assert rev_report.witnesses

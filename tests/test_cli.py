@@ -276,11 +276,13 @@ def test_generate_random_shares_the_family_emission(capsys):
     assert code == 0
     assert out == render_dot(document_to_preorder(parse_document(doc)),
                              name="random")
-    # a random preorder has no closed-form answer to pair it with
-    code, out, err = run_cli(capsys, "generate", "random", "--n", "3",
-                             "--expected-bca")
-    assert (code, out) == (2, "")
-    assert err.startswith("error:") and "--expected-bca" in err
+    # a random preorder has no closed-form answer to pair it with, and DOT
+    # has no form for a family-answer pair
+    for argv in (("generate", "random", "--n", "3", "--expected-bca"),
+                 ("--emit", "dot", "generate", "fence", "--k", "4", "--expected-bca")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and "--expected-bca" in err
 
 
 def test_condition_star_strict_has_no_witness_line(capsys):

@@ -78,6 +78,16 @@ def test_constructor_rejects_bad_pair_entries():
             RelationDocument(labels=("a", "b"), pairs=(entry,))
 
 
+def test_constructor_checks_labels_and_flags_as_parsing_does():
+    for fields, message in (({"transitive_closure": "no"}, "transitive_closure must"),
+                            ({"reflexive_closure": 1}, "reflexive_closure must"),
+                            ({"labels": (1, 2)}, "labels must be a list of strings"),
+                            ({"labels": ("a", "\ud800")}, "not valid Unicode")):
+        with pytest.raises(DocumentError, match=message):
+            RelationDocument(**{"labels": ("a", "b", "c"), "pairs": ((0, 1), (1, 2)),
+                                **fields})
+
+
 def test_closures_applied():
     doc = RelationDocument(labels=("a", "b", "c"), pairs=((0, 1), (1, 2)),
                            reflexive_closure=True, transitive_closure=True)

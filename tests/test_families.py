@@ -9,6 +9,7 @@ from preorder_bca import (
     FamilySpec,
     GroundSet,
     ParameterMismatch,
+    Preorder,
     PreorderBcaError,
     Relation,
     TooLarge,
@@ -16,7 +17,6 @@ from preorder_bca import (
     bca_bruteforce,
     canonical_completion,
     condition_star,
-    converse,
     hasse_edges,
     is_completion,
     is_total,
@@ -140,12 +140,14 @@ def test_condition_star_per_family():
 def test_reversed_word_order_sufficiency_not_necessity():
     # canonical completion wins by brute force although the layer condition
     # does not hold strictly (the k = 1 alphabet-2 case is the only strict one)
-    rev = converse(families.word_prefix_order(2, 2))
+    word = families.word_prefix_order(2, 2)
+    rev = Preorder(word.ground, word.cols)
     assert condition_star(rev).verdict == "weak"
     report = bca_bruteforce(rev)
     assert report.bca_set == (canonical_completion(rev),)
 
-    assert condition_star(converse(families.word_prefix_order(2, 1))).verdict == "strict"
+    word = families.word_prefix_order(2, 1)
+    assert condition_star(Preorder(word.ground, word.cols)).verdict == "strict"
 
 
 def test_canonical_matches_closed_forms():
@@ -171,6 +173,10 @@ def test_family_spec():
         FamilySpec("mystery", {"z": 2})
     with pytest.raises(BadParameter):
         FamilySpec("containment", {"k": 2})
+    for kind, params in (("fence", {"k": "4"}), ("fence", {"k": 4.0}),
+                         ("chain", {"n": True}), ("word_prefix", {"alphabet": 2, "k": None})):
+        with pytest.raises(BadParameter, match="must be an integer"):
+            FamilySpec(kind, params)
     with pytest.raises(ParameterMismatch):
         families.sum_ordering(0)
 

@@ -4,14 +4,9 @@ import pytest
 
 import worked_examples as wx
 from preorder_bca import (
-    EmptySubset,
-    GroundSet,
     GroundMismatch,
+    GroundSet,
     TooLarge,
-    domination_profile,
-    delta_menu,
-    down_set,
-    enumerate_completions,
     enumerate_preorders,
     enumerate_total_preorders,
     is_completion,
@@ -36,15 +31,10 @@ def menu_sum_distance(p, q):
 
 def test_delta_menu_examples():
     ex1 = wx.example1_base()
-    ex1b = wx.example1_swap_bottom()
-    ex1a = wx.example1_swap_top()
-    assert delta_menu(ex1, ex1, mask_of([0, 1])).delta == 0
-    assert delta_menu(ex1, ex1b, mask_of([3, 4])).delta == 2
-    assert delta_menu(ex1, ex1a, mask_of([0, 1])).delta == 2
-    with pytest.raises(EmptySubset):
-        delta_menu(ex1, ex1b, 0)
-    with pytest.raises(GroundMismatch):
-        delta_menu(ex1, wx.example2_base(), 1)
+    for q, menu, delta in ((ex1, [0, 1], 0), (wx.example1_swap_bottom(), [3, 4], 2),
+                           (wx.example1_swap_top(), [0, 1], 2)):
+        s = mask_of(menu)
+        assert (maximal_elements(ex1, s) ^ maximal_elements(q, s)).bit_count() == delta
 
 
 def test_example1_distances():
@@ -55,6 +45,9 @@ def test_example1_distances():
     assert top_difference_fast(ex1, wx.example1_swap_bottom()) == 2
     assert ksb_distance(ex1, wx.example1_swap_top()) == 2
     assert ksb_distance(ex1, wx.example1_swap_bottom()) == 2
+    for distance in (top_difference_direct, top_difference_fast, ksb_distance):
+        with pytest.raises(GroundMismatch):
+            distance(ex1, wx.example2_base())
 
 
 def test_example2_distances():
@@ -126,12 +119,10 @@ def test_symmetry_and_triangle(rng):
 def test_zero_iff_same_asymmetric_part_n3():
     # the semimetric only sees strict parts, so D = 0 exactly on matching
     # asymmetric parts; checked exhaustively at n = 3
-    from preorder_bca import asymmetric_part
-
     ground = GroundSet(("a", "b", "c"))
     universe = list(enumerate_preorders(ground))
     for p, q in itertools.product(universe, repeat=2):
-        same = asymmetric_part(p) == asymmetric_part(q)
+        same = p.strict_down == q.strict_down
         assert (top_difference_fast(p, q) == 0) == same
 
 
@@ -140,26 +131,6 @@ def test_metric_on_totals_separates_points():
     totals = [t.as_preorder for t in enumerate_total_preorders(ground)]
     for p, q in itertools.combinations(totals, 2):
         assert top_difference_fast(p, q) > 0
-
-
-def test_domination_profile():
-    eq = families.equality(4)
-    prof = domination_profile(eq, eq)
-    assert prof.neither == (3, 3, 3, 3)
-    assert prof.only_first == (0, 0, 0, 0)
-
-    # against any completion, alpha equals the completion down-set size - 1
-    ex3 = wx.example3_base()
-    for comp in enumerate_completions(ex3):
-        crel = comp.as_preorder
-        prof = domination_profile(ex3, crel)
-        for x in range(ex3.n):
-            assert prof.neither[x] == down_set(crel, x).bit_count() - 1
-
-    total = families.sum_ordering(2).as_preorder
-    prof = domination_profile(total, total)
-    for x in range(total.n):
-        assert prof.neither[x] == down_set(total, x).bit_count() - 1
 
 
 def test_fast_distance_past_word_size():

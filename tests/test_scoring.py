@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import worked_examples as wx
 from preorder_bca import (
+    BadParameter,
     EmptySequence,
     GroundSet,
     enumerate_completions,
@@ -119,6 +120,9 @@ def test_f_examples():
     assert layer_composition([1, 1, 1]) == Fraction(7, 2**2)
     with pytest.raises(EmptySequence):
         layer_composition([])
+    for sizes in ([-1, 1], [1.5], [2, 0], [True]):
+        with pytest.raises(BadParameter, match="positive integers"):
+            layer_composition(sizes)
 
 
 def test_normalization_matches_layer_composition_small():

@@ -178,6 +178,34 @@ def test_theorem5_strict_implies_unique_bruteforce(rng):
     assert seen_strict > 0
 
 
+# (strict, weak, fails with canonical optimal, canonical not optimal) per n
+THEOREM5_CENSUS = {1: (1, 0, 0, 0), 2: (4, 0, 0, 0), 3: (29, 0, 0, 0),
+                   4: (331, 24, 0, 0), 5: (5762, 840, 240, 100)}
+
+
+def test_theorem5_over_every_preorder_up_to_5():
+    # strict: the canonical completion is the whole tie set; weak: it is in
+    # it.  The tie sets are checked against brute force while n <= 4.
+    for n, expected in THEOREM5_CENSUS.items():
+        counts = [0, 0, 0, 0]
+        ground = GroundSet(tuple(f"x{i}" for i in range(n)))
+        for base in enumerate_preorders(ground, max_n=5):
+            verdict = condition_star(base).verdict
+            ties = bca_duality(base).bca_set
+            canonical = canonical_completion(base)
+            if verdict == "strict":
+                assert ties == (canonical,)
+                counts[0] += 1
+            elif verdict == "weak":
+                assert canonical in ties
+                counts[1] += 1
+            else:
+                counts[2 if canonical in ties else 3] += 1
+            if n <= 4:
+                assert bca_bruteforce(base).bca_set == ties
+        assert tuple(counts) == expected, n
+
+
 def test_bca_auto_routes():
     strict = bca_auto(families.containment_order(2))
     assert strict.method == "theorem5"
