@@ -17,7 +17,9 @@ the blocks above x's block, so the closed form splits per element:
 A block's cost is the sum of its members' weights, which depend only on the
 block and on what lies above it.  The argmin sweep prices blocks that way.
 An element ``y`` left alone in the last block has all n-1 others in ``A``,
-and ``up(y)`` lies inside ``A``, so ``w(y, A) = 2^0 - 2^1 = -1``.
+and ``up(y)`` lies inside ``A``, so ``w(y, A) = 2^0 - 2^1 = -1``.  When two
+elements ``a`` and ``b`` are left, ``|A| = n-2`` and ``w(a, A)`` is 0 if ``b``
+is strictly above ``a`` and -2 otherwise.
 """
 
 from __future__ import annotations
@@ -68,8 +70,17 @@ def sweep_min_distance(n: int, up_base: tuple[int, ...]):
     table of block costs belongs to the node and dies with it.
 
     The last block and a lone last element are leaves, priced in the loop
-    instead of through a call.  A lone last element ``y`` has every other
-    element in ``A``, so ``|up(y) ∪ A| = n-1`` and ``w(y, A) = 1 - 2 = -1``.
+    instead of through a recursive call.  A lone last element ``y`` has
+    every other element in ``A``, so ``|up(y) ∪ A| = n-1`` and
+    ``w(y, A) = 1 - 2 = -1``.
+    A rest of two elements {a, b}, ``a`` the lower bit, is priced in the loop
+    too: its three leaves cost ``c + w(a) - 1`` for a over b, ``c + w(b) - 1``
+    for b over a and ``c + w(a) + w(b)`` for {a, b} as one block, where
+    ``c`` is the cost so far and ``w(a)`` is 0 if b is strictly above a and
+    -2 otherwise.  They are compared in that order, the order a call on the
+    rest would visit them, so every one of the Fubini(n) candidates is still
+    priced and the tie list is unchanged.  Every leaf goes through one
+    helper, which keeps the minimum and the ties in visiting order.
 
     Enumeration order is depth-first with blocks drawn in increasing bitmask
     order, so the argmin list is deterministic.
@@ -81,8 +92,16 @@ def sweep_min_distance(n: int, up_base: tuple[int, ...]):
     ties: list[tuple[int, ...]] = []
     stack: list[int] = []
 
-    def rec(remaining: int, above: int, partial: int) -> None:
+    def leaf(d: int, *tail: int) -> None:
+        # one candidate: the blocks on the stack, then tail, at distance d
         nonlocal best, ties
+        if best is None or d < best:
+            best = d
+            ties = [(*stack, *tail)]
+        elif d == best:
+            ties.append((*stack, *tail))
+
+    def rec(remaining: int, above: int, partial: int) -> None:
         t1 = 1 << (n - above.bit_count() - 1)
         weights = []
         r = remaining
@@ -104,18 +123,26 @@ def sweep_min_distance(n: int, up_base: tuple[int, ...]):
             low = i & -i
             c = cost[i] = cost[i ^ low] + weights[low.bit_length() - 1]
             rest = remaining ^ s
-            if rest & (rest - 1):
+            # rest without its lowest element: two or more left in it mean
+            # three or more in rest
+            b = rest & (rest - 1)
+            if b & (b - 1):
                 stack.append(s)
                 rec(rest, above | s, c)
                 stack.pop()
-                continue
-            if rest:
-                c -= 1
-            if best is None or c < best:
-                best = c
-                ties = [(*stack, s, rest) if rest else (*stack, s)]
-            elif c == best:
-                ties.append((*stack, s, rest) if rest else (*stack, s))
+            elif b:
+                # rest = {a, b}: its three leaves, in the order the call
+                # on rest would visit them
+                a = rest ^ b
+                wa = 0 if up_base[a.bit_length() - 1] & b else -2
+                wb = 0 if up_base[b.bit_length() - 1] & a else -2
+                leaf(c + wa - 1, s, a, b)
+                leaf(c + wb - 1, s, b, a)
+                leaf(c + wa + wb, s, rest)
+            elif rest:
+                leaf(c - 1, s, rest)
+            else:
+                leaf(c, s)
 
     rec((1 << n) - 1, 0, const)
     return best, ties

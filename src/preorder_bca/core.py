@@ -50,7 +50,10 @@ class GroundSet:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
+        labels = self.labels
+        if not isinstance(labels, (tuple, list)) or not all(isinstance(s, str) for s in labels):
+            raise InvalidRelation("ground set labels must be a list or tuple of strings")
+        object.__setattr__(self, "labels", tuple(labels))
         if not 1 <= len(self.labels) <= MAX_GROUND:
             raise InvalidRelation(f"ground set size must be in 1..{MAX_GROUND}, "
                                   f"got {len(self.labels)}")

@@ -61,6 +61,10 @@ class RelationDocument:
             raise DocumentError(f"schema must be a string, got {_short(self.schema)}")
         if self.schema != SCHEMA:
             raise DocumentError(f"unsupported schema: {_short(self.schema)}")
+        for name, value in (("labels", self.labels), ("pairs", self.pairs)):
+            if not isinstance(value, (tuple, list)):
+                raise DocumentError(f"{name} must be a list or tuple, got {_short(value)}")
+            object.__setattr__(self, name, tuple(value))
         if not all(isinstance(s, str) for s in self.labels):
             raise DocumentError("labels must be a list of strings")
         for label in self.labels:

@@ -294,6 +294,9 @@ class FamilySpec:
         if self.kind not in FAMILIES:
             raise BadParameter(f"unknown family kind: {self.kind!r}; known "
                                f"kinds: {', '.join(FAMILIES)}")
+        if not isinstance(self.params, dict):
+            raise BadParameter(f"{self.kind} parameters must be a dict, got "
+                               f"{self.params!r}")
         expected = FAMILIES[self.kind][0]
         given = tuple(sorted(self.params))
         if given != tuple(sorted(expected)):

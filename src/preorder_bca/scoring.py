@@ -83,7 +83,8 @@ def layer_composition(sizes):
     """
     from fractions import Fraction
 
-    sizes = tuple(sizes)
+    if not isinstance(sizes, (tuple, list)):
+        raise BadParameter(f"layer sizes must be a list or tuple, got {sizes!r}")
     if not sizes:
         raise EmptySequence("need at least one layer size")
     total = Fraction(0)

@@ -47,6 +47,10 @@ def test_construction_checks_raise_invalid_relation():
         Relation(ground, (0b11,))
     with pytest.raises(InvalidRelation):
         TotalPreorder(ground, (0b01,))
+    for labels in ("ab", ("a", 1), 5, None):
+        with pytest.raises(InvalidRelation, match="list or tuple of strings"):
+            GroundSet(labels)
+    assert GroundSet(["a", "b"]) == ground
 
 
 def test_relation_requires_reflexivity():

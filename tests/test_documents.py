@@ -86,6 +86,18 @@ def test_constructor_checks_labels_and_flags_as_parsing_does():
         with pytest.raises(DocumentError, match=message):
             RelationDocument(**{"labels": ("a", "b", "c"), "pairs": ((0, 1), (1, 2)),
                                 **fields})
+    # the containers are lists or tuples, stored as tuples, so the document
+    # hashes; a string is not a list of labels
+    for fields, message in (({"labels": 5}, "labels must be a list or tuple"),
+                            ({"labels": "abc"}, "labels must be a list or tuple"),
+                            ({"pairs": 5}, "pairs must be a list or tuple"),
+                            ({"pairs": {(0, 1)}}, "pairs must be a list or tuple")):
+        with pytest.raises(DocumentError, match=message):
+            RelationDocument(**{"labels": ("a", "b", "c"), "pairs": (), **fields})
+    doc = RelationDocument(labels=["a", "b"], pairs=[(0, 1)])
+    assert doc == RelationDocument(labels=("a", "b"), pairs=((0, 1),))
+    assert doc.labels == ("a", "b") and doc.pairs == ((0, 1),)
+    assert hash(doc) == hash(RelationDocument(labels=("a", "b"), pairs=((0, 1),)))
 
 
 def test_closures_applied():

@@ -177,6 +177,9 @@ def test_family_spec():
                          ("chain", {"n": True}), ("word_prefix", {"alphabet": 2, "k": None})):
         with pytest.raises(BadParameter, match="must be an integer"):
             FamilySpec(kind, params)
+    for params in (None, 4, [("n", 4)]):
+        with pytest.raises(BadParameter, match="parameters must be a dict"):
+            FamilySpec("chain", params)
     with pytest.raises(ParameterMismatch):
         families.sum_ordering(0)
 

@@ -123,6 +123,9 @@ def test_f_examples():
     for sizes in ([-1, 1], [1.5], [2, 0], [True]):
         with pytest.raises(BadParameter, match="positive integers"):
             layer_composition(sizes)
+    for sizes in (5, "12", None, iter([1, 2])):
+        with pytest.raises(BadParameter, match="list or tuple"):
+            layer_composition(sizes)
 
 
 def test_normalization_matches_layer_composition_small():

@@ -3,6 +3,7 @@ import pytest
 import worked_examples as wx
 from preorder_bca import (
     GroundSet,
+    Preorder,
     TooLarge,
     bca_auto,
     bca_bruteforce,
@@ -263,7 +264,8 @@ def test_report_invariants(rng):
 
 def naive_bruteforce(base, candidates):
     # object-level reimplementation, independent of the sweep kernel;
-    # candidates pairs each total preorder's blocks with its Preorder
+    # candidates pairs each total preorder's blocks with its Preorder, in
+    # enumeration order, and the argmin keeps that order
     best = None
     argmin = []
     for blocks, cand in candidates:
@@ -272,14 +274,16 @@ def naive_bruteforce(base, candidates):
             best, argmin = d, [blocks]
         elif d == best:
             argmin.append(blocks)
-    return best, sorted(argmin)
+    return best, argmin
 
 
 def test_sweep_kernel_matches_naive_loop(rng):
     # every preorder on 1..4 elements, then seeded random ones on 5 and 6:
-    # the kernel prices a last block and a lone last element without a
-    # call, and its block costs build on each other, so a slip shows only
-    # on some bases and some depths
+    # the kernel prices a last block, a lone last element and the three
+    # leaves of a two-element rest without a recursive call, and its block
+    # costs build on each other, so a slip shows only on some bases and
+    # some depths.  The tie list must come in enumeration order, which the
+    # scan shares with enumerate_total_preorders.
     from preorder_bca import enumerate_total_preorders
 
     grounds = {n: GroundSet(tuple(f"x{t}" for t in range(1, n + 1)))
@@ -289,18 +293,24 @@ def test_sweep_kernel_matches_naive_loop(rng):
     for n, count in ((5, 30), (6, 5)):
         bases += [random_preorder(rng, n, rng.choice([0.1, 0.3, 0.5]))
                   for _ in range(count)]
+    # no base on 5 or fewer elements has more than two ties; this one has
+    # three: x4 above x1, x2, x3, x6, and x6 above x2, x3
+    bases.append(Preorder(grounds[6], (0b1, 0b10, 0b100, 0b101111, 0b10000, 0b100110)))
     candidates = {n: [(t.blocks, t.as_preorder)
                       for t in enumerate_total_preorders(ground)]
                   for n, ground in grounds.items()}
+    most_ties = 0
     for base in bases:
-        want_d, want_set = naive_bruteforce(base, candidates[base.n])
+        want_d, want_ties = naive_bruteforce(base, candidates[base.n])
         distance, ties = _backend.sweep_min_distance(base.n, base.strict_up)
         assert len(set(ties)) == len(ties)
         assert distance == want_d
-        assert sorted(ties) == want_set
+        assert ties == want_ties
+        most_ties = max(most_ties, len(ties))
         report = bca_bruteforce(base)
         assert report.distance == want_d
-        assert [c.blocks for c in report.bca_set] == want_set
+        assert [c.blocks for c in report.bca_set] == sorted(want_ties)
+    assert most_ties >= 3
 
 
 def test_pure_sweep_counts_candidates():
