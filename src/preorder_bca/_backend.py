@@ -19,7 +19,15 @@ block and on what lies above it.  The argmin sweep prices blocks that way.
 An element ``y`` left alone in the last block has all n-1 others in ``A``,
 and ``up(y)`` lies inside ``A``, so ``w(y, A) = 2^0 - 2^1 = -1``.  When two
 elements ``a`` and ``b`` are left, ``|A| = n-2`` and ``w(a, A)`` is 0 if ``b``
-is strictly above ``a`` and -2 otherwise.
+is strictly above ``a`` and -2 otherwise.  With ``c`` the cost of the blocks
+above them, their three leaves cost:
+
+    neither strictly above the other:  a over b  c-3,  b over a  c-3,  {a, b}  c-4
+    b strictly above a:                a over b  c-1,  b over a  c-3,  {a, b}  c-2
+
+(and symmetrically when a is strictly above b).  One leaf is always strictly
+cheaper than the other two, so the sweep prices only that leaf: the two
+dearer ones can never tie with the minimum.
 """
 
 from __future__ import annotations
@@ -73,14 +81,19 @@ def sweep_min_distance(n: int, up_base: tuple[int, ...]):
     instead of through a recursive call.  A lone last element ``y`` has
     every other element in ``A``, so ``|up(y) ∪ A| = n-1`` and
     ``w(y, A) = 1 - 2 = -1``.
-    A rest of two elements {a, b}, ``a`` the lower bit, is priced in the loop
-    too: its three leaves cost ``c + w(a) - 1`` for a over b, ``c + w(b) - 1``
-    for b over a and ``c + w(a) + w(b)`` for {a, b} as one block, where
-    ``c`` is the cost so far and ``w(a)`` is 0 if b is strictly above a and
-    -2 otherwise.  They are compared in that order, the order a call on the
-    rest would visit them, so every one of the Fubini(n) candidates is still
-    priced and the tie list is unchanged.  Every leaf goes through one
-    helper, which keeps the minimum and the ties in visiting order.
+    A rest of two elements {a, b}, with ``c`` the cost so far, is priced in
+    the loop too, and only through the one leaf that can reach the minimum:
+
+    * neither strictly above the other: {a, b} as one block, at ``c - 4``
+      (a over b and b over a cost ``c - 3`` each);
+    * b strictly above a: b over a, at ``c - 3`` (a over b costs ``c - 1``
+      and the block ``c - 2``);
+    * a strictly above b: a over b, at ``c - 3``, by symmetry.
+
+    The two dearer leaves of a rest never tie with the minimum, because the
+    cheapest leaf of the same rest undercuts them, so dropping them leaves
+    the minimum, the ties and their order as a scan of every one of the
+    Fubini(n) candidates would give.
 
     Enumeration order is depth-first with blocks drawn in increasing bitmask
     order, so the argmin list is deterministic.
@@ -88,20 +101,12 @@ def sweep_min_distance(n: int, up_base: tuple[int, ...]):
     const = 0
     for x in range(n):
         const += 1 << (n - up_base[x].bit_count() - 1)
-    best = None
+    best = (n + 1) << n  # above every distance
     ties: list[tuple[int, ...]] = []
     stack: list[int] = []
 
-    def leaf(d: int, *tail: int) -> None:
-        # one candidate: the blocks on the stack, then tail, at distance d
-        nonlocal best, ties
-        if best is None or d < best:
-            best = d
-            ties = [(*stack, *tail)]
-        elif d == best:
-            ties.append((*stack, *tail))
-
     def rec(remaining: int, above: int, partial: int) -> None:
+        nonlocal best, ties
         t1 = 1 << (n - above.bit_count() - 1)
         weights = []
         r = remaining
@@ -130,19 +135,29 @@ def sweep_min_distance(n: int, up_base: tuple[int, ...]):
                 stack.append(s)
                 rec(rest, above | s, c)
                 stack.pop()
-            elif b:
-                # rest = {a, b}: its three leaves, in the order the call
-                # on rest would visit them
+                continue
+            # a leaf: s, then the blocks hi and lo below it (0 for none)
+            hi = rest
+            lo = 0
+            if b:
                 a = rest ^ b
-                wa = 0 if up_base[a.bit_length() - 1] & b else -2
-                wb = 0 if up_base[b.bit_length() - 1] & a else -2
-                leaf(c + wa - 1, s, a, b)
-                leaf(c + wb - 1, s, b, a)
-                leaf(c + wa + wb, s, rest)
+                if up_base[a.bit_length() - 1] & b:
+                    c -= 3
+                    hi, lo = b, a
+                elif up_base[b.bit_length() - 1] & a:
+                    c -= 3
+                    hi, lo = a, b
+                else:
+                    c -= 4
             elif rest:
-                leaf(c - 1, s, rest)
-            else:
-                leaf(c, s)
+                c -= 1
+            if c <= best:
+                leaf = (*stack, s, hi, lo) if lo else (*stack, s, hi) if hi else (*stack, s)
+                if c < best:
+                    best = c
+                    ties = [leaf]
+                else:
+                    ties.append(leaf)
 
     rec((1 << n) - 1, 0, const)
     return best, ties

@@ -13,9 +13,8 @@ function, so everything here is safe to share across threads.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import cached_property
 
-from ._record import record
+from ._record import lazy, record
 from .errors import (
     EmptySubset,
     GroundMismatch,
@@ -75,6 +74,15 @@ class GroundSet:
         return tuple(sorted(self.labels[i] for i in iter_bits(mask)))
 
 
+def _check_arguments(ground, masks, what: str) -> None:
+    """A :class:`GroundSet` and a list or tuple, as the bitmask arithmetic
+    needs; the constructors check each mask is an int (not a bool)."""
+    if not isinstance(ground, GroundSet):
+        raise InvalidRelation(f"ground must be a GroundSet, got {type(ground).__name__}")
+    if not isinstance(masks, (tuple, list)):
+        raise InvalidRelation(f"{what} must be a list or tuple of ints")
+
+
 @record
 class Relation:
     """Reflexive binary relation: ``rows[i]`` bit ``j`` set iff x_i >= x_j."""
@@ -83,12 +91,15 @@ class Relation:
     rows: tuple[Mask, ...]
 
     def __post_init__(self):
+        _check_arguments(self.ground, self.rows, "relation rows")
         object.__setattr__(self, "rows", tuple(self.rows))
         n = self.ground.n
         if len(self.rows) != n:
             raise InvalidRelation("row count does not match ground set size")
         full = self.ground.full_mask
         for i, row in enumerate(self.rows):
+            if type(row) is not int:
+                raise InvalidRelation("relation rows must be a list or tuple of ints")
             if row & ~full:
                 raise InvalidRelation(f"row {i} has bits outside the ground set")
             if not (row >> i) & 1:
@@ -144,33 +155,42 @@ class Preorder(Relation):
     """
 
     def __post_init__(self):
-        super().__post_init__()
+        Relation.__post_init__(self)
         w = _transitivity_witnesses(self.rows, first_only=True)
         if w:
             raise ViolationError(w)
 
-    @cached_property
+    @lazy
     def cols(self) -> tuple[Mask, ...]:
         return _columns(self.rows)
 
-    @cached_property
+    @lazy
     def strict_up(self) -> tuple[Mask, ...]:
-        return _strict_up(self.rows, self.cols)
+        # cols if some route has filled them, else columns of its own, so
+        # that a solve reading only strict_up keeps no cols
+        try:
+            cols = object.__getattribute__(self, "cols")  # never fills the slot
+        except AttributeError:
+            cols = _columns(self.rows)
+        return _strict_up(self.rows, cols)
 
-    @cached_property
+    @lazy
     def strict_down(self) -> tuple[Mask, ...]:
         # strict_down[x] = {a : x > a}
         return tuple(self.rows[x] & ~self.cols[x] for x in range(self.n))
 
-    @cached_property
+    @lazy
     def quotient(self) -> Quotient:
         # x heads its class when no member of the class has a smaller index
-        sym = [col & ~up for col, up in zip(self.cols, self.strict_up)]
+        rows, cols = self.rows, self.cols
+        sym = [col & row for row, col in zip(rows, cols)]
         reps = [x for x in range(self.n) if not sym[x] & ((1 << x) - 1)]
         classes = tuple(sym[x] for x in reps)
-        # the classes meeting each head's strict up-set, then its down-set
+        # the classes meeting each head's strict up-set, then its down-set;
+        # the up-sets come from cols, which self.strict_up may not read
         up, down = (tuple(mask_of(c for c, m in enumerate(classes) if m & strict[x])
-                          for x in reps) for strict in (self.strict_up, self.strict_down))
+                          for x in reps)
+                    for strict in (_strict_up(rows, cols), self.strict_down))
         layers, remaining = [], (1 << len(classes)) - 1
         while remaining:
             layers.append(mask_of(c for c in iter_bits(remaining) if not up[c] & remaining))
@@ -183,8 +203,11 @@ def _columns(rows) -> tuple[Mask, ...]:
     """cols[j] = weak up-set of j = {i : x_i >= x_j}."""
     cols = [0] * len(rows)
     for i, row in enumerate(rows):
-        for j in iter_bits(row):
-            cols[j] |= 1 << i
+        bit = 1 << i
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
     return tuple(cols)
 
 
@@ -265,9 +288,12 @@ class TotalPreorder:
     blocks: tuple[Mask, ...]
 
     def __post_init__(self):
+        _check_arguments(self.ground, self.blocks, "total preorder blocks")
         object.__setattr__(self, "blocks", tuple(self.blocks))
         seen = 0
         for b in self.blocks:
+            if type(b) is not int:
+                raise InvalidRelation("total preorder blocks must be a list or tuple of ints")
             if b == 0:
                 raise InvalidRelation("empty block in total preorder")
             if b & seen:
@@ -283,7 +309,7 @@ class TotalPreorder:
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(b.bit_count() for b in self.blocks)
 
-    @cached_property
+    @lazy
     def block_index(self) -> tuple[int, ...]:
         idx = [0] * self.n
         for pos, b in enumerate(self.blocks):
@@ -294,7 +320,7 @@ class TotalPreorder:
     def holds(self, i: int, j: int) -> bool:
         return self.block_index[i] <= self.block_index[j]
 
-    @cached_property
+    @lazy
     def as_preorder(self) -> Preorder:
         # row of x = union of x's block and everything below it
         suffix = [0] * (len(self.blocks) + 1)

@@ -158,6 +158,7 @@ def condition_star(base: Preorder, max_layer: int | None = None) -> ConditionSta
                            f"subset sweep guard is {limit}")
     verdict = STRICT
     witnesses: list[ConditionStarWitness] = []
+    strict_down, q = base.strict_down, base.quotient
     for i, layer in enumerate(layer_masks, start=1):
         if layer.bit_count() < 2:
             continue
@@ -165,13 +166,13 @@ def condition_star(base: Preorder, max_layer: int | None = None) -> ConditionSta
         while s != layer:
             below = 0
             for x in iter_bits(s):
-                below |= base.strict_down[x]
+                below |= strict_down[x]
             for x in iter_bits(layer & ~s):
-                below &= ~base.strict_down[x]
+                below &= ~strict_down[x]
             if below:
-                y = base.quotient.classes_in(below)
+                y = q.classes_in(below)
                 try:
-                    value = class_index(base.quotient, y)[0]
+                    value = class_index(q, y)[0]
                 except TooLarge:  # name Y, not the base
                     raise TooLarge(f"layer {i}: Y has {y.bit_count()} indifference "
                                    f"classes; completion enumeration guard is "

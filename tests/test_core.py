@@ -8,6 +8,7 @@ from preorder_bca import (
     NotTotal,
     Preorder,
     Relation,
+    TotalPreorder,
     ViolationError,
     down_set,
     enumerate_preorders,
@@ -36,7 +37,7 @@ def test_ground_set_rejects_duplicates_and_bad_sizes():
 
 
 def test_construction_checks_raise_invalid_relation():
-    from preorder_bca import InvalidRelation, PreorderBcaError, TotalPreorder
+    from preorder_bca import InvalidRelation, PreorderBcaError
 
     assert issubclass(InvalidRelation, PreorderBcaError)
     assert issubclass(InvalidRelation, ValueError)
@@ -51,6 +52,28 @@ def test_construction_checks_raise_invalid_relation():
         with pytest.raises(InvalidRelation, match="list or tuple of strings"):
             GroundSet(labels)
     assert GroundSet(["a", "b"]) == ground
+
+
+_AB = GroundSet(("a", "b"))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Relation(_AB, 5), "rows must be a list or tuple of ints"),
+    (lambda: TotalPreorder(_AB, 5), "blocks must be a list or tuple of ints"),
+    (lambda: Preorder(_AB, None), "rows must be a list or tuple of ints"),
+    (lambda: Relation("ab", (1, 2)), "ground must be a GroundSet, got str"),
+    (lambda: TotalPreorder(None, (3,)), "ground must be a GroundSet, got NoneType"),
+    (lambda: Relation(_AB, (1, 2.0)), "rows must be a list or tuple of ints"),
+    (lambda: Preorder(_AB, (True, 2)), "rows must be a list or tuple of ints"),
+    (lambda: TotalPreorder(_AB, ("1", 2)), "blocks must be a list or tuple of ints"),
+    (lambda: TotalPreorder(_AB, (1, True)), "blocks must be a list or tuple of ints"),
+], ids=["relation-int", "total-int", "preorder-none", "relation-str-ground",
+        "total-none-ground", "row-float", "row-bool", "block-str", "block-bool"])
+def test_malformed_arguments_raise_invalid_relation(build, message):
+    from preorder_bca import InvalidRelation
+
+    with pytest.raises(InvalidRelation, match=message):
+        build()
 
 
 def test_relation_requires_reflexivity():

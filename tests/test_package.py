@@ -2,9 +2,11 @@
 the frozen-record semantics of the public value classes."""
 
 import argparse
+import copy
 import json
 import os
 import pathlib
+import pickle
 import re
 import subprocess
 import sys
@@ -143,7 +145,7 @@ def test_preorder_record_semantics():
         p.rows = (3, 3)
     with pytest.raises(AttributeError, match="cannot delete field 'rows'"):
         del p.rows
-    assert p.strict_up == (0, 1)  # cached properties still work
+    assert p.strict_up == (0, 1)  # lazy fields still work
 
 
 def test_relation_document_record_semantics():
@@ -186,3 +188,82 @@ def test_approximation_report_record_semantics():
         report.distance = 0
     with pytest.raises(TypeError):
         ApproximationReport((total,), 3, (12,), "duality", complete_set=True)
+
+
+def _record_samples():
+    """One instance of every exported record class, lazy fields unread."""
+    pb = preorder_bca
+    ground = GroundSet(("a", "b", "c"))
+    base = Preorder(ground, (0b111, 0b010, 0b110))
+    return [
+        ground,
+        Relation(ground, (0b001, 0b011, 0b100)),
+        base,
+        pb.TotalPreorder(ground, (0b101, 0b010)),
+        pb.enumerate_completions(base, "maximal"),
+        RelationDocument(("a", "b"), ((0, 1),)),
+        pb.FamilySpec("fence", {"k": 4}),
+        pb.verify_strict_optimality(base),
+        pb.bca_auto(base),
+        pb.bca_bruteforce(base),
+        pb.condition_star(pb.FamilySpec("fence", {"k": 4}).build()),
+        pb.ConditionStarWitness(1, 0b1, 0b100, 4, 4),
+        pb.covering_radius(GroundSet(("a", "b"))),
+    ]
+
+
+# the lazy fields of each record class that has some
+LAZY_FIELDS = {
+    "Preorder": ("cols", "strict_up", "strict_down", "quotient"),
+    "TotalPreorder": ("block_index", "as_preorder"),
+}
+
+
+def _hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError as exc:  # FamilySpec holds a dict
+        return str(exc)
+
+
+def test_record_samples_cover_every_exported_record_class():
+    exported = {name for name in preorder_bca.__all__
+                if isinstance(getattr(preorder_bca, name), type)
+                and getattr(getattr(preorder_bca, name).__init__, "__module__", None)
+                == "preorder_bca._record"}
+    assert {type(x).__name__ for x in _record_samples()} == exported
+    assert len(exported) == 12
+
+
+def test_records_pickle_and_deep_copy_to_an_equal_value():
+    for x in _record_samples():
+        for name in LAZY_FIELDS.get(type(x).__name__, ()):
+            getattr(x, name)  # a filled lazy slot is not part of the value
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert type(y) is type(x) and y is not x, repr(x)
+            assert y == x, repr(x)
+            assert _hash_or_error(y) == _hash_or_error(x), repr(x)
+            assert repr(y) == repr(x)
+
+
+def test_records_have_no_instance_dict():
+    for x in _record_samples():
+        assert not hasattr(x, "__dict__"), type(x).__name__
+        with pytest.raises(TypeError):
+            vars(x)
+
+
+def test_lazy_fields_are_computed_once():
+    for x in _record_samples():
+        for name in LAZY_FIELDS.get(type(x).__name__, ()):
+            assert getattr(x, name) is getattr(x, name), name
+    p = _record_samples()[2]
+    assert p.quotient is p.quotient
+    assert p.strict_up is p.strict_up
+    # a brute-force solve reads only strict_up, which leaves cols unfilled
+    q = Preorder(p.ground, p.rows)
+    assert q.strict_up == p.strict_up
+    with pytest.raises(AttributeError):
+        object.__getattribute__(q, "cols")
+    with pytest.raises(AttributeError, match="no attribute 'quotients'"):
+        p.quotients  # noqa: B018
