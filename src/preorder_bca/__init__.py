@@ -37,7 +37,7 @@ _EXPORTS = {
     "errors": (
         "BadParameter", "DocumentError", "EmptySequence", "EmptySubset",
         "GroundMismatch", "InvalidRelation", "NotACompletion", "NotTotal",
-        "ParameterMismatch", "PreorderBcaError", "TooLarge", "ViolationError",
+        "PreorderBcaError", "TooLarge", "ViolationError",
     ),
     "families": ("FamilySpec",),
     "metrics": (

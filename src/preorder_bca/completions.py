@@ -9,7 +9,8 @@ corrupt the brute-force oracles built on top of these streams.
 Completions live on the base's class quotient (``Preorder.quotient``): a
 completion is an ordered partition of the indifference classes in which every
 strict class pair crosses blocks in order.  One recursion over class masks,
-:func:`class_blocks`, serves the three public streams and the index.
+:func:`class_blocks`, serves the three completion streams, the stream of all
+total preorders (the completions of the discrete order) and the index.
 """
 
 from __future__ import annotations
@@ -38,35 +39,16 @@ MAX_PREORDER_ENUM_N = 4
 MAX_COMPLETION_CLASSES = 9
 
 
-def enumerate_ordered_partitions(items: Mask) -> Iterator[tuple[Mask, ...]]:
-    """Every ordered set partition of the bits of ``items``, blocks in
-    increasing bitmask order at each depth."""
-    stack: list[Mask] = []
-
-    def rec(remaining: Mask):
-        if remaining == 0:
-            yield tuple(stack)
-            return
-        s = (0 - remaining) & remaining
-        while True:
-            stack.append(s)
-            yield from rec(remaining & ~s)
-            stack.pop()
-            s = (s - remaining) & remaining
-            if s == 0:
-                break
-
-    yield from rec(items)
-
-
 def enumerate_total_preorders(ground: GroundSet,
                               max_n: int | None = None) -> Iterator[TotalPreorder]:
-    """All Fubini(n) total preorders on ``ground``, deterministically."""
+    """All Fubini(n) total preorders on ``ground``, deterministically: the
+    completions of the discrete order, whose classes are its elements."""
     limit = MAX_TOTAL_ENUM_N if max_n is None else max_n
     if ground.n > limit:
         raise TooLarge(f"enumerating total preorders on {ground.n} elements "
                        f"exceeds the guard ({limit}); raise max_n to insist")
-    for blocks in enumerate_ordered_partitions(ground.full_mask):
+    discrete = Preorder(ground, tuple(1 << i for i in range(ground.n)))
+    for blocks in class_blocks(discrete.quotient, ground.full_mask, "all", limit):
         yield TotalPreorder(ground, blocks)
 
 

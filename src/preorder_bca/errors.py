@@ -43,10 +43,6 @@ class BadParameter(PreorderBcaError, ValueError):
     """An operation received a parameter outside its valid range or set."""
 
 
-class ParameterMismatch(PreorderBcaError):
-    """Closed-form ordering parameters do not match the paired generator."""
-
-
 class DocumentError(PreorderBcaError):
     """A relation document failed to parse or violated its schema."""
 

@@ -153,6 +153,8 @@ def test_generate_families(capsys):
 
     code, _, err = run_cli(capsys, "generate", "containment", "--k", "2")
     assert code == 2
+    code, out, err = run_cli(capsys, "generate", "containment", "--z", "0")
+    assert (code, out) == (2, "") and err.startswith("error:")
 
 
 def test_generate_unknown_family_lists_the_known_kinds(capsys):
@@ -164,12 +166,18 @@ def test_generate_unknown_family_lists_the_known_kinds(capsys):
         assert kind in err
 
 
-@pytest.mark.parametrize("family, k", [("fence", "100"), ("crown", "66")])
-def test_generate_family_beyond_64_elements_exits_2(capsys, family, k):
-    code, out, err = run_cli(capsys, "generate", family, "--k", k)
+@pytest.mark.parametrize("argv", [
+    ("containment", "--z", "7"), ("refinement", "--z", "6"),
+    ("word_prefix", "--alphabet", "2", "--k", "6"), ("coordinatewise", "--m", "9"),
+    ("fence", "--k", "100"), ("crown", "--k", "66"), ("chain", "--n", "65"),
+    ("equality", "--n", "65"), ("indifferent", "--n", "65"),
+], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+def test_generate_family_beyond_64_elements_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "generate", *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
 
 
 def test_generate_expected_bca_pair(capsys):

@@ -18,7 +18,6 @@ from preorder_bca import (
     top_difference_fast,
 )
 from preorder_bca import families
-from preorder_bca.completions import enumerate_ordered_partitions
 from conftest import random_preorder
 
 
@@ -46,7 +45,8 @@ def test_two_element_universe_exact():
 
 
 def test_ordered_partition_stream_is_lexicographic():
-    seqs = list(enumerate_ordered_partitions(0b111))
+    ground = GroundSet(("a", "b", "c"))
+    seqs = [t.blocks for t in enumerate_total_preorders(ground)]
     assert len(seqs) == 13
     assert seqs == sorted(seqs)
     assert seqs[0] == (0b001, 0b010, 0b100)

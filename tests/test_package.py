@@ -2,7 +2,9 @@
 the frozen-record semantics of the public value classes."""
 
 import argparse
+import contextlib
 import copy
+import io
 import json
 import os
 import pathlib
@@ -110,6 +112,32 @@ def test_subcommand_loads_what_the_readme_says(command):
     readme = _readme_load_table()[command]
     assert loaded - _ALWAYS_LOADED == readme
     assert _ALWAYS_LOADED <= loaded
+
+
+def _readme_tour() -> str:
+    """The code block of README's "Library quick tour"."""
+    section = (ROOT / "README.md").read_text().split("## Library quick tour\n")[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def _says(comment: str, printed: str) -> bool:
+    # "..." stands for elided text; what follows ": " explains the value
+    return any(re.fullmatch(".*".join(map(re.escape, claim.split("..."))),
+                            printed)
+               for claim in (comment, comment.split(": ", 1)[0]))
+
+
+def test_readme_quick_tour_prints_what_its_comments_say():
+    tour = _readme_tour()
+    comments = [line.split("#", 1)[1].strip() for line in tour.splitlines()
+                if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(tour, {})
+    printed = out.getvalue().splitlines()
+    assert comments and len(printed) == len(comments)
+    for comment, line in zip(comments, printed):
+        assert _says(comment, line), (comment, line)
 
 
 def test_every_public_name_resolves_and_is_listed():
