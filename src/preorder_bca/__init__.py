@@ -30,7 +30,7 @@ _EXPORTS = {
         "is_maximal_completion",
     ),
     "documents": (
-        "RelationDocument", "document_from_relation", "document_from_total",
+        "RelationDocument", "document_from_relation",
         "document_to_json", "document_to_preorder", "document_to_relation",
         "parse_document", "render_dot",
     ),

@@ -13,13 +13,15 @@ The class is rebuilt with ``__slots__``, so instances carry no ``__dict__``
 and no ``__weakref__``.  A method marked :class:`lazy` becomes a lazy field:
 a slot of its own, left empty by ``__init__``.  Reading an empty slot falls
 through to the class's ``__getattr__``, which computes the value once and
-fills the slot, so every later read is a plain slot read.  Lazy fields take
-no part in equality, hashing or ``repr``.  ``__reduce__`` rebuilds an
-instance from its field values alone, which is how ``pickle`` and
-``copy.deepcopy`` copy a record; its lazy fields are computed again on
-demand.  Methods run in the rebuilt class, so they call a base's method by
-name (``Base.method(self)``), not through the zero-argument ``super()``,
-whose cell still names the class as written.
+fills the slot, so every later read is a plain slot read.  A subclass may
+mark a base's field :class:`lazy`: it stops being a field of the subclass
+and becomes a lazy field in the base's slot.  Lazy fields take no part in
+equality, hashing or ``repr``.  ``__reduce__`` rebuilds an instance from its
+field values alone, which is how ``pickle`` and ``copy.deepcopy`` copy a
+record; its lazy fields are computed again on demand.  Methods run in the
+rebuilt class, so they call a base's method by name (``Base.method(self)``),
+not through the zero-argument ``super()``, whose cell still names the class
+as written.
 
 Fields are read from each class's own ``__annotations__``, which the modules
 here fill eagerly with strings (``from __future__ import annotations``).
@@ -59,6 +61,7 @@ def record(cls):
     for name, value in list(ns.items()):
         if isinstance(value, lazy):
             lazies[name] = ns.pop(name).compute
+    names = tuple(name for name in names if name not in lazies)
     count = len(names)
     positions = tuple(enumerate(names))
     has_post_init = hasattr(cls, "__post_init__")

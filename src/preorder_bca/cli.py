@@ -31,7 +31,6 @@ from .core import (
 from .documents import (
     RelationDocument,
     document_from_relation,
-    document_from_total,
     document_payload,
     document_to_json,
     document_to_preorder,
@@ -100,7 +99,7 @@ def _report_json(report: ApproximationReport, verdict: str | None) -> str:
         "condition_star": verdict,
         "indices": [str(i) for i in report.indices],
         "candidates": [
-            document_payload(document_from_total(c)) for c in report.bca_set
+            document_payload(document_from_relation(c)) for c in report.bca_set
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -160,7 +159,7 @@ def cmd_bca(args) -> int:
         sys.stdout.write(_report_json(report, verdict))
     elif args.emit == "dot":
         parts = [
-            render_dot(c.as_preorder, name=f"bca{i}")
+            render_dot(c, name=f"bca{i}")
             for i, c in enumerate(report.bca_set)
         ]
         sys.stdout.write("".join(parts))
@@ -183,9 +182,9 @@ def cmd_canonical(args) -> int:
     base = _load_preorder(args.file)
     total = canonical_completion(base)
     if args.emit == "json":
-        sys.stdout.write(document_to_json(document_from_total(total)))
+        sys.stdout.write(document_to_json(document_from_relation(total)))
     elif args.emit == "dot":
-        sys.stdout.write(render_dot(total.as_preorder, name="canonical"))
+        sys.stdout.write(render_dot(total, name="canonical"))
     else:
         print(total.render(_strict_sep(args)))
     return EXIT_OK
@@ -249,7 +248,7 @@ def cmd_generate(args) -> int:
             "schema": "family-pair/1",
             "family": document_payload(doc),
             "expected_bca": document_payload(
-                document_from_total(spec.expected_bca())),
+                document_from_relation(spec.expected_bca())),
         }
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:

@@ -24,10 +24,13 @@ from .core import (
     Preorder,
     Quotient,
     TotalPreorder,
+    _check_arguments,
+    guard,
     is_completion,
     iter_bits,
     layers,
     mask_of,
+    to_total,
 )
 from .errors import BadParameter, NotACompletion, TooLarge
 
@@ -43,10 +46,8 @@ def enumerate_total_preorders(ground: GroundSet,
                               max_n: int | None = None) -> Iterator[TotalPreorder]:
     """All Fubini(n) total preorders on ``ground``, deterministically: the
     completions of the discrete order, whose classes are its elements."""
-    limit = MAX_TOTAL_ENUM_N if max_n is None else max_n
-    if ground.n > limit:
-        raise TooLarge(f"enumerating total preorders on {ground.n} elements "
-                       f"exceeds the guard ({limit}); raise max_n to insist")
+    _check_arguments(ground)
+    limit = guard(MAX_TOTAL_ENUM_N, max_n, ground.n, "enumerating total preorders")
     discrete = Preorder(ground, tuple(1 << i for i in range(ground.n)))
     for blocks in class_blocks(discrete.quotient, ground.full_mask, "all", limit):
         yield TotalPreorder(ground, blocks)
@@ -89,7 +90,7 @@ def class_blocks(q: Quotient, classes: Mask, which: str = "all",
     """Completions of ``q`` restricted to the class mask ``classes``, as
     tuples of class masks, top block first."""
     k = classes.bit_count()
-    limit = MAX_COMPLETION_CLASSES if max_classes is None else max_classes
+    limit = guard(MAX_COMPLETION_CLASSES, max_classes)
     if k > limit:
         raise TooLarge(f"base has {k} indifference classes; completion "
                        f"enumeration guard is {limit}")
@@ -124,9 +125,11 @@ def class_blocks(q: Quotient, classes: Mask, which: str = "all",
     yield from rec(classes, 0)
 
 
-def is_maximal_completion(cand: TotalPreorder, base: Preorder) -> bool:
+def is_maximal_completion(cand: Preorder, base: Preorder) -> bool:
     """True iff no completion of ``base`` properly contains ``cand``: every
-    two consecutive blocks of ``cand`` are crossed by a strict base pair."""
+    two consecutive blocks of ``cand`` are crossed by a strict base pair.
+    Raises NotTotal when ``cand`` is not total."""
+    cand = to_total(cand)
     if not is_completion(cand, base):
         raise NotACompletion("candidate does not complete the base relation")
     below = base.strict_down
@@ -145,10 +148,8 @@ def enumerate_preorders(ground: GroundSet,
                         max_n: int | None = None) -> Iterator[Preorder]:
     """Every preorder on ``ground`` exactly once, in increasing order of the
     off-diagonal bit pattern (row 0 least significant) for reproducibility."""
-    limit = MAX_PREORDER_ENUM_N if max_n is None else max_n
-    if ground.n > limit:
-        raise TooLarge(f"enumerating preorders on {ground.n} elements exceeds "
-                       f"the guard ({limit}); raise max_n to insist")
+    _check_arguments(ground)
+    guard(MAX_PREORDER_ENUM_N, max_n, ground.n, "enumerating preorders")
     for rows in _preorder_rows(ground.n):
         yield Preorder(ground, rows)
 

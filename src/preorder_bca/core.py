@@ -16,10 +16,12 @@ from collections.abc import Iterator
 
 from ._record import lazy, record
 from .errors import (
+    BadParameter,
     EmptySubset,
     GroundMismatch,
     InvalidRelation,
     NotTotal,
+    TooLarge,
     ViolationError,
 )
 
@@ -74,7 +76,19 @@ class GroundSet:
         return tuple(sorted(self.labels[i] for i in iter_bits(mask)))
 
 
-def _check_arguments(ground, masks, what: str) -> None:
+def guard(default: int, override, n: int = 0, what: str = "") -> int:
+    """A feasibility guard: ``default``, or an override that is an int (not a
+    bool).  Given ``what``, refuses to run it on ``n`` elements past the guard."""
+    limit = default if override is None else override
+    if not isinstance(limit, int) or isinstance(limit, bool):
+        raise BadParameter(f"guard override must be an integer, got {limit!r}")
+    if what and n > limit:
+        raise TooLarge(f"{what} on {n} elements exceeds the guard ({limit}); "
+                       "raise max_n to insist")
+    return limit
+
+
+def _check_arguments(ground, masks=(), what: str = "") -> None:
     """A :class:`GroundSet` and a list or tuple, as the bitmask arithmetic
     needs; the constructors check each mask is an int (not a bool)."""
     if not isinstance(ground, GroundSet):
@@ -244,6 +258,8 @@ def relation_violations(rel: Relation) -> list[tuple]:
 
 def validate_preorder(rel: Relation) -> Preorder:
     """Return ``rel`` as a Preorder or raise ViolationError with all witnesses."""
+    if not isinstance(rel, Relation):
+        raise InvalidRelation(f"expected a Relation, got {type(rel).__name__}")
     try:
         return Preorder(rel.ground, rel.rows)
     except ViolationError:
@@ -281,8 +297,10 @@ def preorder_from_predicate(labels, weakly_above) -> Preorder:
 
 
 @record
-class TotalPreorder:
-    """Total preorder as an ordered partition; ``blocks[0]`` is the top class."""
+class TotalPreorder(Preorder):
+    """Total preorder as an ordered partition; ``blocks[0]`` is the top class.
+    Its rows are computed from the blocks on first read, so the constructor
+    checks only that the blocks partition the ground set."""
 
     ground: GroundSet
     blocks: tuple[Mask, ...]
@@ -302,41 +320,22 @@ class TotalPreorder:
         if seen != self.ground.full_mask:
             raise InvalidRelation("blocks do not partition the ground set")
 
-    @property
-    def n(self) -> int:
-        return self.ground.n
-
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(b.bit_count() for b in self.blocks)
 
     @lazy
-    def block_index(self) -> tuple[int, ...]:
-        idx = [0] * self.n
-        for pos, b in enumerate(self.blocks):
-            for i in iter_bits(b):
-                idx[i] = pos
-        return tuple(idx)
-
-    def holds(self, i: int, j: int) -> bool:
-        return self.block_index[i] <= self.block_index[j]
-
-    @lazy
-    def as_preorder(self) -> Preorder:
+    def rows(self) -> tuple[Mask, ...]:
         # row of x = union of x's block and everything below it
-        suffix = [0] * (len(self.blocks) + 1)
-        for pos in range(len(self.blocks) - 1, -1, -1):
-            suffix[pos] = suffix[pos + 1] | self.blocks[pos]
         rows = [0] * self.n
-        for pos, b in enumerate(self.blocks):
+        below = 0
+        for b in reversed(self.blocks):
+            below |= b
             for i in iter_bits(b):
-                rows[i] = suffix[pos]
-        return Preorder(self.ground, tuple(rows))
+                rows[i] = below
+        return tuple(rows)
 
     def render(self, separator: str = " > ") -> str:
-        parts = []
-        for b in self.blocks:
-            parts.append("[" + ",".join(self.ground.label_set(b)) + "]")
-        return separator.join(parts)
+        return separator.join(f"[{class_label(self, b)}]" for b in self.blocks)
 
 
 def _require_same_ground(p, q) -> None:
@@ -348,6 +347,8 @@ def maximal_elements(p: Preorder, s: Mask) -> Mask:
     """M(S, >=): members of S strictly dominated by no member of S."""
     if s == 0:
         raise EmptySubset("maxima are defined only for nonempty menus")
+    if s & ~p.ground.full_mask:
+        raise BadParameter(f"menu {s} has bits outside the ground set")
     out = 0
     for x in iter_bits(s):
         if s & p.strict_up[x] == 0:
@@ -356,6 +357,8 @@ def maximal_elements(p: Preorder, s: Mask) -> Mask:
 
 
 def down_set(p: Preorder, x: int, strict: bool = False) -> Mask:
+    if x not in range(p.n):
+        raise BadParameter(f"element {x!r} is not in 0..{p.n - 1}")
     return p.strict_down[x] if strict else p.rows[x]
 
 
@@ -380,20 +383,23 @@ def is_total(p: Preorder) -> bool:
 
 def to_total(p: Preorder) -> TotalPreorder:
     """Ordered-partition form of a total preorder; blocks are its layers."""
+    if isinstance(p, TotalPreorder):
+        return p
     witness = incomparable_witness(p)
     if witness is not None:
         raise NotTotal(witness)
     return TotalPreorder(p.ground, layers(p))
 
 
-def is_completion(cand: TotalPreorder, base: Preorder) -> bool:
-    """True iff base >= is contained in cand >= and base > in cand >."""
+def is_completion(cand: Preorder, base: Preorder) -> bool:
+    """True iff base >= is contained in cand >= and base > in cand >; raises
+    NotTotal when ``cand`` is not total."""
     _require_same_ground(cand, base)
-    crel = cand.as_preorder
+    cand = to_total(cand)
     for i in range(base.n):
-        if base.rows[i] & ~crel.rows[i]:
+        if base.rows[i] & ~cand.rows[i]:
             return False
-        if base.strict_down[i] & crel.cols[i]:
+        if base.strict_down[i] & cand.cols[i]:
             return False
     return True
 

@@ -21,7 +21,6 @@ from .core import (
     GroundSet,
     Preorder,
     Relation,
-    TotalPreorder,
     class_label,
     transitive_closure_rows,
     validate_preorder,
@@ -166,7 +165,7 @@ def document_to_preorder(doc: RelationDocument) -> Preorder:
     return validate_preorder(document_to_relation(doc))
 
 
-def document_from_relation(rel: Relation | Preorder) -> RelationDocument:
+def document_from_relation(rel: Relation) -> RelationDocument:
     """Document with the full off-diagonal pair list, closures marked done."""
     pairs = [(i, j) for i, j in rel.pairs() if i != j]
     return RelationDocument(
@@ -175,10 +174,6 @@ def document_from_relation(rel: Relation | Preorder) -> RelationDocument:
         reflexive_closure=True,
         transitive_closure=False,
     )
-
-
-def document_from_total(total: TotalPreorder) -> RelationDocument:
-    return document_from_relation(total.as_preorder)
 
 
 def _dot_quote(label: str) -> str:

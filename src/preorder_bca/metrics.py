@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from . import _backend
 from ._record import record
-from .core import Preorder, TotalPreorder, _require_same_ground
-from .errors import TooLarge
+from .core import Preorder, TotalPreorder, _require_same_ground, guard
 
 MAX_DIRECT_N = 20
 MAX_STRICT_OPT_N = 5
@@ -31,10 +30,7 @@ def top_difference_direct(p: Preorder, q: Preorder,
     it is exponential either way.
     """
     _require_same_ground(p, q)
-    limit = MAX_DIRECT_N if max_n is None else max_n
-    if p.n > limit:
-        raise TooLarge(f"direct menu sweep on {p.n} elements exceeds the "
-                       f"guard ({limit}); raise max_n to insist")
+    guard(MAX_DIRECT_N, max_n, p.n, "direct menu sweep")
     return _backend.direct_distance(p.n, p.strict_up, q.strict_up)
 
 
@@ -60,8 +56,7 @@ class StrictCompletionReport:
 
     @property
     def all_strict_attain(self) -> bool:
-        attained = {c.blocks for c in self.attaining}
-        return all(c.blocks in attained for c in self.strict_completions)
+        return set(self.strict_completions) <= set(self.attaining)
 
 
 def verify_strict_optimality(base: Preorder, max_n: int | None = None) -> StrictCompletionReport:
@@ -69,14 +64,11 @@ def verify_strict_optimality(base: Preorder, max_n: int | None = None) -> Strict
     each strict completion of ``base`` attains the minimum."""
     from .completions import enumerate_completions, enumerate_total_preorders
 
-    limit = MAX_STRICT_OPT_N if max_n is None else max_n
-    if base.n > limit:
-        raise TooLarge(f"strict-optimality sweep on {base.n} elements exceeds "
-                       f"the guard ({limit}); raise max_n to insist")
+    limit = guard(MAX_STRICT_OPT_N, max_n, base.n, "strict-optimality sweep")
     best: int | None = None
     attaining: list[TotalPreorder] = []
     for cand in enumerate_total_preorders(base.ground, max_n=limit):
-        d = ksb_distance(base, cand.as_preorder)
+        d = ksb_distance(base, cand)
         if best is None or d < best:
             best = d
             attaining = [cand]

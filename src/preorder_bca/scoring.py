@@ -9,7 +9,7 @@ exact identities, so they are ``fractions.Fraction`` values, not floats;
 
 from __future__ import annotations
 
-from .core import Mask, Preorder, Quotient, TotalPreorder, down_set, iter_bits
+from .core import Mask, Preorder, Quotient, down_set, iter_bits, to_total
 from .errors import BadParameter, EmptySequence
 
 
@@ -32,9 +32,10 @@ def index_total_from_sizes(sizes) -> int:
     return total
 
 
-def index_total(p: TotalPreorder) -> int:
-    """Sum of scores over all elements."""
-    return index_total_from_sizes(p.block_sizes())
+def index_total(p: Preorder) -> int:
+    """Sum of scores over all elements of a total preorder; raises NotTotal
+    for any other preorder."""
+    return index_total_from_sizes(to_total(p).block_sizes())
 
 
 def index_general(p: Preorder, max_classes: int | None = None) -> int:
@@ -63,14 +64,15 @@ def class_index(q: Quotient, classes: Mask, max_classes: int | None = None
     return best, tuple(ties)
 
 
-def normalized_index(p: TotalPreorder):
+def normalized_index(p: Preorder):
     """Normalized index, an exact ``fractions.Fraction``: the sum over x of
     2^-(strict dominators of x), which is :func:`layer_composition` of the
     block sizes.
 
-    Satisfies 2^n * normalized_index(p) == index_total(p) exactly.
+    Satisfies 2^n * normalized_index(p) == index_total(p) exactly; raises
+    NotTotal when ``p`` is not total.
     """
-    return layer_composition(p.block_sizes())
+    return layer_composition(to_total(p).block_sizes())
 
 
 def layer_composition(sizes):

@@ -32,8 +32,10 @@ from .core import (
     Mask,
     Preorder,
     TotalPreorder,
+    _check_arguments,
     _columns,
     _strict_up,
+    guard,
     iter_bits,
     layers,
 )
@@ -106,10 +108,7 @@ def bca_bruteforce(base: Preorder, max_n: int | None = None) -> ApproximationRep
     blocks above it (the definitional sweep would add an exponential
     factor); the equivalence of the two is covered by its own test battery.
     """
-    limit = MAX_BRUTEFORCE_N if max_n is None else max_n
-    if base.n > limit:
-        raise TooLarge(f"brute-force sweep on {base.n} elements exceeds the "
-                       f"guard ({limit}); raise max_n to insist")
+    guard(MAX_BRUTEFORCE_N, max_n, base.n, "brute-force sweep")
     distance, argmin_blocks = _backend.sweep_min_distance(base.n, base.strict_up)
     cands = [TotalPreorder(base.ground, blocks) for blocks in argmin_blocks]
     ordered = _sorted_candidates(cands)
@@ -135,7 +134,7 @@ def bca_duality(base: Preorder, max_classes: int | None = None) -> Approximation
         for blocks in ties])
     return ApproximationReport(
         bca_set=ordered,
-        distance=top_difference_fast(base, ordered[0].as_preorder),
+        distance=top_difference_fast(base, ordered[0]),
         indices=(best,) * len(ordered),
         method="duality",
     )
@@ -148,7 +147,7 @@ def condition_star(base: Preorder, max_layer: int | None = None) -> ConditionSta
     S but below no member of M_i outside S.  An empty Y satisfies its
     inequality trivially; any other Y is a union of indifference classes, so
     its index is taken on the quotient's class mask of Y."""
-    limit = MAX_CONDITION_LAYER if max_layer is None else max_layer
+    limit = guard(MAX_CONDITION_LAYER, max_layer)
     layer_masks = layers(base)
     # refuse before sweeping any layer, so a refusal costs only the layers
     for i, layer in enumerate(layer_masks, start=1):
@@ -193,7 +192,7 @@ def _canonical_report(base: Preorder, star: ConditionStarReport
                       ) -> ApproximationReport:
     canonical = canonical_completion(base)
     return ApproximationReport(
-        (canonical,), top_difference_fast(base, canonical.as_preorder),
+        (canonical,), top_difference_fast(base, canonical),
         (index_total(canonical),), "theorem5", star)
 
 
@@ -237,10 +236,8 @@ class CoveringRadiusReport:
 def covering_radius(ground: GroundSet, max_n: int | None = None) -> CoveringRadiusReport:
     """Largest best-approximation distance over every preorder on ``ground``,
     with the first preorder attaining it."""
-    limit = MAX_COVERING_N if max_n is None else max_n
-    if ground.n > limit:
-        raise TooLarge(f"covering radius sweep on {ground.n} elements "
-                       f"exceeds the guard ({limit}); raise max_n to insist")
+    _check_arguments(ground)
+    guard(MAX_COVERING_N, max_n, ground.n, "covering radius sweep")
     best = -1
     for rows in _preorder_rows(ground.n):
         distance, _ = _backend.sweep_min_distance(ground.n, _strict_up(rows, _columns(rows)))

@@ -191,7 +191,7 @@ def bca_duality(base: Preorder) -> ApproximationReport:
     ordered = tuple(sorted(argmax, key=lambda c: c.blocks))
     return ApproximationReport(
         bca_set=ordered,
-        distance=top_difference_fast(base, ordered[0].as_preorder),
+        distance=top_difference_fast(base, ordered[0]),
         indices=tuple(best for _ in ordered),
         method="duality",
     )

@@ -69,19 +69,19 @@ def test_criterion_1_example_regressions():
 
     ex2 = wx.example2_base()
     ex2_completions = wx.example2_completions()
-    got = [top_difference_fast(ex2, c.as_preorder) for c in ex2_completions]
+    got = [top_difference_fast(ex2, c) for c in ex2_completions]
     assert got == [3, 5, 6, 7, 7, 7, 7]
 
     ex3 = wx.example3_base()
     c0, c1 = wx.example3_maximal()
-    assert top_difference_fast(ex3, c0.as_preorder) == 1
-    assert top_difference_fast(ex3, c1.as_preorder) == 2
+    assert top_difference_fast(ex3, c0) == 1
+    assert top_difference_fast(ex3, c1) == 2
 
     assert top_difference_fast(wx.example4_base(),
-                               wx.example4_answer().as_preorder) == 0
+                               wx.example4_answer()) == 0
 
     ex5 = wx.example5_base()
-    assert [top_difference_fast(ex5, c.as_preorder)
+    assert [top_difference_fast(ex5, c)
             for c in wx.example5_maximal()] == [4, 4]
 
     e7c0, e7c1 = wx.example7_completions(2)

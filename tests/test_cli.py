@@ -248,8 +248,8 @@ def test_canonical_json_emission(capsys):
     from preorder_bca import canonical_completion, document_to_preorder
     import worked_examples as wx
 
-    assert document_to_preorder(doc) == \
-        canonical_completion(wx.example5_base()).as_preorder
+    assert document_to_preorder(doc).rows == \
+        canonical_completion(wx.example5_base()).rows
 
 
 def test_generate_word_prefix_requires_both_params(capsys):

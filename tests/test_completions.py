@@ -28,7 +28,7 @@ from conftest import random_preorder
 def maximal_by_containment(completions):
     """The completions that no other completion properly contains, by
     pairwise row containment (containment implies a larger pair count)."""
-    rows_list = [c.as_preorder.rows for c in completions]
+    rows_list = [c.rows for c in completions]
     counts = [sum(r.bit_count() for r in rows) for rows in rows_list]
     kept = []
     for i, cand in enumerate(completions):
@@ -99,7 +99,7 @@ def test_total_preorder_stream_is_deterministic_and_total():
     second = [t.blocks for t in enumerate_total_preorders(ground)]
     assert first == second
     for t in enumerate_total_preorders(ground):
-        assert is_total(t.as_preorder)
+        assert is_total(t)
 
 
 def test_total_preorder_guard():
@@ -243,7 +243,7 @@ def test_canonical_completion_examples():
     assert canonical_completion(cont2) == families.cardinality_ordering(2)
 
     total = families.sum_ordering(3)
-    assert canonical_completion(total.as_preorder) == total
+    assert canonical_completion(total) == total
 
 
 def test_canonical_is_always_maximal(rng):
@@ -282,14 +282,13 @@ def test_enumerate_preorders_guard():
 
 def pairwise_is_completion(cand, base):
     # independent membership test, plain pair loops
-    crel = cand.as_preorder
     n = base.n
     for i in range(n):
         for j in range(n):
-            if base.holds(i, j) and not crel.holds(i, j):
+            if base.holds(i, j) and not cand.holds(i, j):
                 return False
             if base.holds(i, j) and not base.holds(j, i):
-                if not (crel.holds(i, j) and not crel.holds(j, i)):
+                if not (cand.holds(i, j) and not cand.holds(j, i)):
                     return False
     return True
 

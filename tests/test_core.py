@@ -2,9 +2,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import worked_examples as wx
+import preorder_bca as pb
 from preorder_bca import (
+    BadParameter,
     EmptySubset,
     GroundSet,
+    InvalidRelation,
     NotTotal,
     Preorder,
     Relation,
@@ -67,13 +70,28 @@ _AB = GroundSet(("a", "b"))
     (lambda: Preorder(_AB, (True, 2)), "rows must be a list or tuple of ints"),
     (lambda: TotalPreorder(_AB, ("1", 2)), "blocks must be a list or tuple of ints"),
     (lambda: TotalPreorder(_AB, (1, True)), "blocks must be a list or tuple of ints"),
+    (lambda: list(enumerate_preorders(3)), "ground must be a GroundSet, got int"),
+    (lambda: list(pb.enumerate_total_preorders(3)), "ground must be a GroundSet, got int"),
+    (lambda: pb.covering_radius(3), "ground must be a GroundSet, got int"),
+    (lambda: validate_preorder((1, 2)), "expected a Relation, got tuple"),
 ], ids=["relation-int", "total-int", "preorder-none", "relation-str-ground",
-        "total-none-ground", "row-float", "row-bool", "block-str", "block-bool"])
+        "total-none-ground", "row-float", "row-bool", "block-str", "block-bool",
+        "enumerate-preorders-int", "enumerate-totals-int", "covering-radius-int",
+        "validate-tuple"])
 def test_malformed_arguments_raise_invalid_relation(build, message):
-    from preorder_bca import InvalidRelation
-
     with pytest.raises(InvalidRelation, match=message):
         build()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda p: maximal_elements(p, -1), "menu -1 has bits outside the ground set"),
+    (lambda p: maximal_elements(p, 1 << 70), "has bits outside the ground set"),
+    (lambda p: down_set(p, 99), "element 99 is not in 0..2"),
+    (lambda p: pb.score(p, 99), "element 99 is not in 0..2"),
+], ids=["menu-negative", "menu-wide", "down-set", "score"])
+def test_out_of_range_arguments_raise_bad_parameter(call, message):
+    with pytest.raises(BadParameter, match=message):
+        call(families.chain(3))
 
 
 def test_relation_requires_reflexivity():
@@ -160,7 +178,7 @@ def test_down_up_sets():
 
     # the four middle elements of the second named completion of the
     # seven-element example each weakly dominate five elements
-    c1 = wx.example8_named()[1].as_preorder
+    c1 = wx.example8_named()[1]
     idx = {lab: i for i, lab in enumerate(c1.ground.labels)}
     for lab in ("b", "c", "d", "x"):
         assert down_set(c1, idx[lab]).bit_count() == 5
@@ -204,16 +222,64 @@ def test_totality():
         to_total(ex5)
 
     ex4_answer = wx.example4_answer()
-    got = to_total(ex4_answer.as_preorder)
+    got = to_total(ex4_answer)
     assert got == ex4_answer
 
 
 def test_total_roundtrip_small():
+    # the lazy rows of every total preorder pass the transitivity check
     from preorder_bca import enumerate_total_preorders
 
-    ground = GroundSet(("a", "b", "c", "d"))
-    for t in enumerate_total_preorders(ground):
-        assert to_total(t.as_preorder) == t
+    for n in range(1, 6):
+        ground = GroundSet(tuple("abcde"[:n]))
+        totals = list(enumerate_total_preorders(ground))
+        for t in totals:
+            assert to_total(Preorder(t.ground, t.rows)) == t
+    assert len(totals) == 541
+
+
+_EQUIVALENT_ON_A_TOTAL_PREORDER = {
+    "top_difference_fast": lambda base, t: (pb.top_difference_fast(base, t),
+                                            pb.top_difference_fast(t, base)),
+    "top_difference_direct": lambda base, t: pb.top_difference_direct(base, t),
+    "ksb_distance": lambda base, t: pb.ksb_distance(base, t),
+    "bca_bruteforce": lambda base, t: pb.bca_bruteforce(t),
+    "bca_duality": lambda base, t: pb.bca_duality(t),
+    "layers": lambda base, t: layers(t),
+    "hasse_edges": lambda base, t: hasse_edges(t),
+    "render_dot": lambda base, t: pb.render_dot(t),
+    "document_from_relation": lambda base, t: pb.document_from_relation(t),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EQUIVALENT_ON_A_TOTAL_PREORDER))
+def test_total_preorder_acts_as_its_preorder(name):
+    call = _EQUIVALENT_ON_A_TOTAL_PREORDER[name]
+    base = families.fence(4)
+    for t in pb.enumerate_total_preorders(base.ground):
+        p = Preorder(t.ground, t.rows)
+        assert isinstance(t, Preorder) and t != p
+        assert call(base, t) == call(base, p)
+
+
+def test_completion_and_index_checks_require_a_total_candidate():
+    from preorder_bca import (index_total, is_maximal_completion,
+                              normalized_index)
+
+    base = families.fence(4)
+    partial = Preorder(base.ground, base.rows)
+    for check in (is_completion, is_maximal_completion):
+        with pytest.raises(NotTotal):
+            check(partial, base)
+    for index in (index_total, normalized_index):
+        with pytest.raises(NotTotal):
+            index(partial)
+    answer = families.two_block(4)
+    plain = Preorder(answer.ground, answer.rows)
+    assert to_total(answer) is answer
+    assert is_completion(plain, base) and is_maximal_completion(plain, base)
+    assert index_total(plain) == index_total(answer)
+    assert normalized_index(plain) == normalized_index(answer)
 
 
 def test_is_completion():
@@ -237,10 +303,10 @@ def test_self_completion_of_totals():
 
     ground = GroundSet(("a", "b", "c", "d"))
     for t in enumerate_total_preorders(ground):
-        assert is_completion(t, t.as_preorder)
+        assert is_completion(t, t)
     for t in (families.cardinality_ordering(2), families.sum_ordering(2),
               wx.example4_answer()):
-        assert is_completion(t, t.as_preorder)
+        assert is_completion(t, t)
 
 
 def test_hasse_edges():
@@ -256,7 +322,7 @@ def test_hasse_edges():
     indiff = families.indifferent(3)
     assert hasse_edges(indiff) == ()
 
-    ex4 = wx.example4_answer().as_preorder
+    ex4 = wx.example4_answer()
     assert hasse_edges(ex4) == (("a1,a2", "y"), ("x", "a1,a2"))
 
 

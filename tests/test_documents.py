@@ -9,7 +9,6 @@ from preorder_bca import (
     RelationDocument,
     ViolationError,
     document_from_relation,
-    document_from_total,
     document_to_json,
     document_to_preorder,
     document_to_relation,
@@ -138,10 +137,10 @@ def test_roundtrip_random_documents(n, seed, density):
     assert document_to_preorder(again) == p
 
 
-def test_document_from_total():
+def test_document_of_a_total_preorder():
     total = families.cardinality_ordering(2)
-    doc = document_from_total(total)
-    assert document_to_preorder(doc) == total.as_preorder
+    doc = document_from_relation(total)
+    assert document_to_preorder(doc).rows == total.rows
 
 
 def test_render_dot_chain():

@@ -3,8 +3,13 @@
 import concurrent.futures
 import itertools
 
+import pytest
+
+import preorder_bca as pb
 from preorder_bca import (
+    BadParameter,
     GroundSet,
+    TooLarge,
     bca_auto,
     bca_bruteforce,
     canonical_completion,
@@ -66,7 +71,7 @@ def test_parallel_queries_share_immutable_relations():
     totals = list(enumerate_total_preorders(GroundSet(("p", "q", "r"))))
 
     def work(seed: int) -> tuple:
-        d = top_difference_fast(base, canonical_completion(base).as_preorder)
+        d = top_difference_fast(base, canonical_completion(base))
         rep = bca_auto(families.coordinatewise_order(2))
         return d, rep.distance, len(totals)
 
@@ -80,3 +85,44 @@ def test_random_preorder_helper_densities(rng):
     for density in (0.0, 1.0, 0.5):
         p = random_preorder(rng, 6, density)
         assert p.n == 6
+
+
+_GUARDED = {
+    "bca_bruteforce": lambda p, v: pb.bca_bruteforce(p, max_n=v),
+    "covering_radius": lambda p, v: pb.covering_radius(p.ground, max_n=v),
+    "top_difference_direct": lambda p, v: top_difference_direct(p, p, max_n=v),
+    "verify_strict_optimality": lambda p, v: pb.verify_strict_optimality(p, max_n=v),
+    "enumerate_preorders": lambda p, v: list(enumerate_preorders(p.ground, max_n=v)),
+    "enumerate_total_preorders":
+        lambda p, v: list(enumerate_total_preorders(p.ground, max_n=v)),
+    "bca_duality": lambda p, v: pb.bca_duality(p, max_classes=v),
+    "index_general": lambda p, v: index_general(p, max_classes=v),
+    "enumerate_completions":
+        lambda p, v: list(enumerate_completions(p, max_classes=v)),
+    "condition_star": lambda p, v: condition_star(p, max_layer=v),
+    "bca_theorem5": lambda p, v: pb.bca_theorem5(p, max_layer=v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GUARDED))
+def test_guard_override_must_be_an_integer(name):
+    base = families.equality(2)
+    for value in ("9", True, 4.0):
+        with pytest.raises(BadParameter, match="^guard override must be an "
+                                               "integer, got "):
+            _GUARDED[name](base, value)
+    _GUARDED[name](base, 4)  # an int override is honoured
+
+
+@pytest.mark.parametrize("name, message", [
+    ("bca_bruteforce", "brute-force sweep"),
+    ("covering_radius", "covering radius sweep"),
+    ("top_difference_direct", "direct menu sweep"),
+    ("verify_strict_optimality", "strict-optimality sweep"),
+    ("enumerate_preorders", "enumerating preorders"),
+    ("enumerate_total_preorders", "enumerating total preorders"),
+])
+def test_element_guard_messages(name, message):
+    with pytest.raises(TooLarge, match=rf"^{message} on 2 elements exceeds the "
+                                       r"guard \(1\); raise max_n to insist$"):
+        _GUARDED[name](families.equality(2), 1)

@@ -223,7 +223,7 @@ def test_expected_bca_is_in_the_bruteforce_tie_set(kind):
         assert is_completion(expected, base), spec
         report = bca_bruteforce(base)
         assert expected in report.bca_set, spec
-        assert top_difference_direct(base, expected.as_preorder) == \
+        assert top_difference_direct(base, expected) == \
             report.distance, spec
 
 

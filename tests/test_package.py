@@ -243,7 +243,7 @@ def _record_samples():
 # the lazy fields of each record class that has some
 LAZY_FIELDS = {
     "Preorder": ("cols", "strict_up", "strict_down", "quotient"),
-    "TotalPreorder": ("block_index", "as_preorder"),
+    "TotalPreorder": ("rows", "cols", "strict_up", "strict_down", "quotient"),
 }
 
 

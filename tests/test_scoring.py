@@ -31,7 +31,7 @@ def test_score_examples():
     for x in range(6):
         assert score(indiff, x) == 2 ** 6
 
-    c0 = wx.example8_named()[0].as_preorder
+    c0 = wx.example8_named()[0]
     bottom = c0.ground.index_of("y")
     assert score(c0, bottom) == 2 ** 4
 
@@ -63,7 +63,7 @@ def test_index_general_examples():
         assert index_general(families.equality(n)) == n * 2**n
 
     total = families.sum_ordering(2)
-    assert index_general(total.as_preorder) == index_total(total)
+    assert index_general(total) == index_total(total)
 
     ex7 = wx.example7_base(3)
     assert index_general(ex7) == 96
@@ -89,8 +89,7 @@ def test_index_monotone_on_totals():
     ground = GroundSet(("a", "b", "c", "d"))
     totals = list(enumerate_total_preorders(ground))
     for p, q in itertools.product(totals, repeat=2):
-        prel, qrel = p.as_preorder, q.as_preorder
-        if all(a & ~b == 0 for a, b in zip(prel.rows, qrel.rows)):
+        if all(a & ~b == 0 for a, b in zip(p.rows, q.rows)):
             assert index_total(p) <= index_total(q)
 
 

@@ -66,7 +66,7 @@ def test_bca_example8():
 
 def test_bca_total_base_is_itself():
     total = families.sum_ordering(2)
-    report = bca_bruteforce(total.as_preorder)
+    report = bca_bruteforce(total)
     assert report.bca_set == (total,)
     assert report.distance == 0
 
@@ -76,7 +76,7 @@ def test_three_member_tie_ten_elements():
     # route needs only the completions; the three named completions tie
     base = wx.three_member_tie_base()
     named = wx.three_member_tie_completions()
-    distances = {top_difference_fast(base, c.as_preorder) for c in named}
+    distances = {top_difference_fast(base, c) for c in named}
     assert len(distances) == 1
     report = bca_duality(base)
     assert {c.blocks for c in report.bca_set} == {c.blocks for c in named}
@@ -259,21 +259,21 @@ def test_report_invariants(rng):
         report = bca_bruteforce(base)
         assert len(set(report.indices)) == 1
         for cand in report.bca_set:
-            assert top_difference_fast(base, cand.as_preorder) == report.distance
+            assert top_difference_fast(base, cand) == report.distance
 
 
 def naive_bruteforce(base, candidates):
     # object-level reimplementation, independent of the sweep kernel;
-    # candidates pairs each total preorder's blocks with its Preorder, in
-    # enumeration order, and the argmin keeps that order
+    # candidates are the total preorders in enumeration order, and the
+    # argmin keeps that order
     best = None
     argmin = []
-    for blocks, cand in candidates:
+    for cand in candidates:
         d = top_difference_fast(base, cand)
         if best is None or d < best:
-            best, argmin = d, [blocks]
+            best, argmin = d, [cand.blocks]
         elif d == best:
-            argmin.append(blocks)
+            argmin.append(cand.blocks)
     return best, argmin
 
 
@@ -296,8 +296,7 @@ def test_sweep_kernel_matches_naive_loop(rng):
     # no base on 5 or fewer elements has more than two ties; this one has
     # three: x4 above x1, x2, x3, x6, and x6 above x2, x3
     bases.append(Preorder(grounds[6], (0b1, 0b10, 0b100, 0b101111, 0b10000, 0b100110)))
-    candidates = {n: [(t.blocks, t.as_preorder)
-                      for t in enumerate_total_preorders(ground)]
+    candidates = {n: list(enumerate_total_preorders(ground))
                   for n, ground in grounds.items()}
     most_ties = 0
     for base in bases:
