@@ -345,10 +345,10 @@ def _require_same_ground(p, q) -> None:
 
 def maximal_elements(p: Preorder, s: Mask) -> Mask:
     """M(S, >=): members of S strictly dominated by no member of S."""
+    if type(s) is not int or s & ~p.ground.full_mask:
+        raise BadParameter(f"menu {s!r} is not a subset of the ground set")
     if s == 0:
         raise EmptySubset("maxima are defined only for nonempty menus")
-    if s & ~p.ground.full_mask:
-        raise BadParameter(f"menu {s} has bits outside the ground set")
     out = 0
     for x in iter_bits(s):
         if s & p.strict_up[x] == 0:
@@ -357,7 +357,7 @@ def maximal_elements(p: Preorder, s: Mask) -> Mask:
 
 
 def down_set(p: Preorder, x: int, strict: bool = False) -> Mask:
-    if x not in range(p.n):
+    if type(x) is not int or not 0 <= x < p.n:
         raise BadParameter(f"element {x!r} is not in 0..{p.n - 1}")
     return p.strict_down[x] if strict else p.rows[x]
 

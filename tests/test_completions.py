@@ -7,6 +7,7 @@ from preorder_bca import (
     BadParameter,
     GroundSet,
     NotACompletion,
+    Preorder,
     TooLarge,
     canonical_completion,
     enumerate_completions,
@@ -243,7 +244,7 @@ def test_canonical_completion_examples():
     assert canonical_completion(cont2) == families.cardinality_ordering(2)
 
     total = families.sum_ordering(3)
-    assert canonical_completion(total) == total
+    assert canonical_completion(Preorder(total.ground, total.rows)) == total
 
 
 def test_canonical_is_always_maximal(rng):

@@ -84,11 +84,17 @@ def test_malformed_arguments_raise_invalid_relation(build, message):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda p: maximal_elements(p, -1), "menu -1 has bits outside the ground set"),
-    (lambda p: maximal_elements(p, 1 << 70), "has bits outside the ground set"),
+    (lambda p: maximal_elements(p, -1), "menu -1 is not a subset of the ground set"),
+    (lambda p: maximal_elements(p, 1 << 70), "is not a subset of the ground set"),
+    (lambda p: maximal_elements(p, "x"), "menu 'x' is not a subset of the ground set"),
+    (lambda p: maximal_elements(p, 2.0), "menu 2.0 is not a subset of the ground set"),
+    (lambda p: maximal_elements(p, True), "menu True is not a subset of the ground set"),
     (lambda p: down_set(p, 99), "element 99 is not in 0..2"),
+    (lambda p: down_set(p, 1.0), "element 1.0 is not in 0..2"),
+    (lambda p: down_set(p, True), "element True is not in 0..2"),
     (lambda p: pb.score(p, 99), "element 99 is not in 0..2"),
-], ids=["menu-negative", "menu-wide", "down-set", "score"])
+], ids=["menu-negative", "menu-wide", "menu-str", "menu-float", "menu-bool",
+        "down-set", "down-set-float", "down-set-bool", "score"])
 def test_out_of_range_arguments_raise_bad_parameter(call, message):
     with pytest.raises(BadParameter, match=message):
         call(families.chain(3))
@@ -222,7 +228,7 @@ def test_totality():
         to_total(ex5)
 
     ex4_answer = wx.example4_answer()
-    got = to_total(ex4_answer)
+    got = to_total(Preorder(ex4_answer.ground, ex4_answer.rows))
     assert got == ex4_answer
 
 
@@ -303,10 +309,10 @@ def test_self_completion_of_totals():
 
     ground = GroundSet(("a", "b", "c", "d"))
     for t in enumerate_total_preorders(ground):
-        assert is_completion(t, t)
+        assert is_completion(t, Preorder(t.ground, t.rows))
     for t in (families.cardinality_ordering(2), families.sum_ordering(2),
               wx.example4_answer()):
-        assert is_completion(t, t)
+        assert is_completion(t, Preorder(t.ground, t.rows))
 
 
 def test_hasse_edges():

@@ -68,7 +68,7 @@ def test_example3_distances():
 def test_example4_semimetric_degeneracy():
     ex4 = wx.example4_base()
     answer = wx.example4_answer()
-    assert ex4 != answer
+    assert ex4.rows != answer.rows
     assert top_difference_fast(ex4, answer) == 0
     assert top_difference_direct(ex4, answer) == 0
 
