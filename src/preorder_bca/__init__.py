@@ -20,9 +20,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": (
         "GroundSet", "Mask", "Preorder", "Relation", "TotalPreorder",
-        "down_set", "hasse_edges", "incomparable_witness", "is_completion",
-        "is_total", "layers", "maximal_elements", "preorder_from_predicate",
-        "relation_violations", "to_total", "validate_preorder",
+        "down_set", "incomparable_witness", "is_completion", "is_total",
+        "layers", "maximal_elements", "relation_violations", "to_total",
+        "validate_preorder",
     ),
     "completions": (
         "CompletionStream", "canonical_completion", "enumerate_completions",

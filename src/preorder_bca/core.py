@@ -69,9 +69,6 @@ class GroundSet:
     def full_mask(self) -> Mask:
         return (1 << self.n) - 1
 
-    def index_of(self, label: str) -> int:
-        return self.labels.index(label)
-
     def label_set(self, mask: Mask) -> tuple[str, ...]:
         return tuple(sorted(self.labels[i] for i in iter_bits(mask)))
 
@@ -165,12 +162,12 @@ class Preorder(Relation):
     """A Relation that passed reflexivity + transitivity validation.
 
     The constructor checks transitivity, so an invalid Preorder cannot exist;
-    :func:`validate_preorder` builds one and reports every witness on failure.
+    on failure it raises ViolationError with every witness.
     """
 
     def __post_init__(self):
         Relation.__post_init__(self)
-        w = _transitivity_witnesses(self.rows, first_only=True)
+        w = _transitivity_witnesses(self.rows)
         if w:
             raise ViolationError(w)
 
@@ -230,7 +227,7 @@ def _strict_up(rows, cols) -> tuple[Mask, ...]:
     return tuple(col & ~row for row, col in zip(rows, cols))
 
 
-def _transitivity_witnesses(rows, first_only=False):
+def _transitivity_witnesses(rows):
     n = len(rows)
     witnesses = []
     for i in range(n):
@@ -245,8 +242,6 @@ def _transitivity_witnesses(rows, first_only=False):
                 if (rows[j] >> k) & 1:
                     witnesses.append(("transitivity", i, j, k))
                     break
-            if first_only:
-                return witnesses
     return witnesses
 
 
@@ -260,10 +255,7 @@ def validate_preorder(rel: Relation) -> Preorder:
     """Return ``rel`` as a Preorder or raise ViolationError with all witnesses."""
     if not isinstance(rel, Relation):
         raise InvalidRelation(f"expected a Relation, got {type(rel).__name__}")
-    try:
-        return Preorder(rel.ground, rel.rows)
-    except ViolationError:
-        raise ViolationError(relation_violations(rel)) from None
+    return Preorder(rel.ground, rel.rows)
 
 
 def transitive_closure_rows(rows: list[Mask]) -> list[Mask]:
@@ -276,24 +268,6 @@ def transitive_closure_rows(rows: list[Mask]) -> list[Mask]:
             if rows[i] & bit:
                 rows[i] |= rows[k]
     return rows
-
-
-def preorder_from_predicate(labels, weakly_above) -> Preorder:
-    """Build and validate a preorder from a label-level comparator.
-
-    ``weakly_above(a, b)`` must say whether a >= b; the result is validated,
-    so a non-transitive comparator raises ViolationError.
-    """
-    labels = tuple(labels)
-    ground = GroundSet(labels)
-    rows = []
-    for a in labels:
-        row = 0
-        for j, b in enumerate(labels):
-            if weakly_above(a, b):
-                row |= 1 << j
-        rows.append(row)
-    return validate_preorder(Relation(ground, tuple(rows)))
 
 
 @record
@@ -407,13 +381,3 @@ def is_completion(cand: Preorder, base: Preorder) -> bool:
 def class_label(p: Preorder, cls: Mask) -> str:
     return ",".join(p.ground.label_set(cls))
 
-
-def hasse_edges(p: Preorder) -> tuple[tuple[str, str], ...]:
-    """Transitive reduction of the strict order on indifference classes.
-
-    Edges are (upper label, lower label) pairs, sorted; class labels are the
-    sorted member labels joined by commas.
-    """
-    classes = p.quotient.classes
-    return tuple(sorted((class_label(p, classes[a]), class_label(p, classes[b]))
-                        for a, b in p.quotient.covers()))

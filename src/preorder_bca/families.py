@@ -23,6 +23,7 @@ contract.
 Each kind is one :data:`FAMILIES` entry: a function of its parameters gives
 the points (drawn lazily), their labels, the order predicate ``a >= b`` and a
 rank; the closed-form best approximation puts the highest rank on top.
+:class:`FamilySpec` is the one way to build a family and its answer.
 """
 
 from __future__ import annotations
@@ -93,133 +94,27 @@ def _bipartite(k: int, above):
 
 # kind -> (parameter names, function of them giving (points, label, ge, rank))
 FAMILIES = {
+    # A >= B iff A contains B, over the subsets of a z-element set; larger
+    # subsets on top
     "containment": (("z",), _containment),
+    # S >= T iff every cell of T sits inside a cell of S; fewer cells on top
     "refinement": (("z",), _refinement),
+    # x >= y iff y is an initial substring of x; longer words on top
     "word_prefix": (("alphabet", "k"), _words),
+    # the product order on the m-by-m grid; larger coordinate sums on top
     "coordinatewise": (("m",), _grid),
+    # the zigzag x1 < x2 > x3 < x4 ...; tops over bottoms
     "fence": (("k",), lambda k: _bipartite(k, lambda t, b, h: b - t in (0, 1))),
+    # each bottom below every top but a cyclically shifted partner; tops over
+    # bottoms
     "crown": (("k",), lambda k: _bipartite(k, lambda t, b, h: t != (b + 1) % h)),
+    # the linear order with x1 on top, already total
     "chain": (("n",), lambda n: _xs(n, int.__le__, int.__neg__)),
+    # no two elements comparable; one block
     "equality": (("n",), lambda n: _xs(n, int.__eq__, lambda i: 0)),
+    # every two elements indifferent; one block
     "indifferent": (("n",), lambda n: _xs(n, lambda a, b: True, lambda i: 0)),
 }
-
-
-def _family(kind: str, args: tuple[int, ...]):
-    # the one size check.  No family has fewer points than any parameter, so
-    # parameters outside 1..MAX_GROUND are refused before a point is drawn,
-    # and an oversized family after MAX_GROUND + 1 points.
-    names, describe = FAMILIES[kind]
-    for name, value in zip(names, args):
-        if not 1 <= value <= MAX_GROUND:
-            raise BadParameter(f"{kind} parameter {name} must be in "
-                               f"1..{MAX_GROUND}, got {value}")
-    points, label, ge, rank = describe(*args)
-    points = list(islice(points, MAX_GROUND + 1))
-    if len(points) > MAX_GROUND:
-        raise BadParameter(f"{kind} {dict(zip(names, args))} has more than "
-                           f"{MAX_GROUND} elements")
-    return GroundSet(tuple(map(label, points))), points, ge, rank
-
-
-def _order(kind: str, *args: int) -> Preorder:
-    ground, points, ge, _ = _family(kind, args)
-    rows = [mask_of(j for j, b in enumerate(points) if ge(a, b)) for a in points]
-    return Preorder(ground, tuple(rows))
-
-
-def _answer(kind: str, *args: int) -> TotalPreorder:
-    ground, points, _, rank = _family(kind, args)
-    ranks = [rank(point) for point in points]
-    return TotalPreorder(ground, tuple(
-        mask_of(i for i, r in enumerate(ranks) if r == top)
-        for top in sorted(set(ranks), reverse=True)))
-
-
-def containment_order(z: int) -> Preorder:
-    """A >= B iff A contains B, over all subsets of a z-element set."""
-    return _order("containment", z)
-
-
-def cardinality_ordering(z: int) -> TotalPreorder:
-    """Subsets ranked by size, larger on top; the closed-form answer paired
-    with :func:`containment_order`."""
-    return _answer("containment", z)
-
-
-def refinement_order(z: int) -> Preorder:
-    """S >= T iff every cell of T sits inside a cell of S (S is coarser)."""
-    return _order("refinement", z)
-
-
-def cell_count_ordering(z: int) -> TotalPreorder:
-    """Partitions ranked by cell count, fewer cells on top; the closed-form
-    answer paired with :func:`refinement_order`."""
-    return _answer("refinement", z)
-
-
-def word_prefix_order(alphabet: int, k: int) -> Preorder:
-    """x >= y iff y is an initial substring of x (longer words on top)."""
-    return _order("word_prefix", alphabet, k)
-
-
-def word_length_ordering(alphabet: int, k: int) -> TotalPreorder:
-    """Words ranked by length, longest on top; the closed-form answer paired
-    with :func:`word_prefix_order`."""
-    return _answer("word_prefix", alphabet, k)
-
-
-def coordinatewise_order(m: int) -> Preorder:
-    """Product order on the m-by-m grid of 1-based integer pairs."""
-    return _order("coordinatewise", m)
-
-
-def sum_ordering(m: int) -> TotalPreorder:
-    """Grid points ranked by coordinate sum, larger on top; the closed-form
-    answer paired with :func:`coordinatewise_order`."""
-    return _answer("coordinatewise", m)
-
-
-def fence(k: int) -> Preorder:
-    """Zigzag poset x1 < x2 > x3 < x4 ... on k elements."""
-    return _order("fence", k)
-
-
-def crown(k: int) -> Preorder:
-    """Bipartite poset: bottoms x1,x3,.. each below every top x2,x4,.. except
-    a cyclically shifted partner."""
-    return _order("crown", k)
-
-
-def chain(n: int) -> Preorder:
-    """Linear order with x1 on top."""
-    return _order("chain", n)
-
-
-def equality(n: int) -> Preorder:
-    return _order("equality", n)
-
-
-def indifferent(n: int) -> Preorder:
-    """The everywhere-indifferent relation."""
-    return _order("indifferent", n)
-
-
-def chain_ordering(n: int) -> TotalPreorder:
-    """x1 over x2 over ... over xn; the answer paired with :func:`chain`,
-    which is already total."""
-    return _answer("chain", n)
-
-
-def one_block(n: int) -> TotalPreorder:
-    """Every element indifferent; the answer paired with :func:`equality`
-    and :func:`indifferent`."""
-    return _answer("equality", n)
-
-
-def two_block(k: int) -> TotalPreorder:
-    """Tops over bottoms; the unique maximal completion of fence and crown."""
-    return _answer("fence", k)
 
 
 @record
@@ -231,12 +126,17 @@ class FamilySpec:
     params: dict[str, int]
 
     def __post_init__(self):
+        if not isinstance(self.kind, str):
+            raise BadParameter(f"family kind must be a string, got {self.kind!r}")
         if self.kind not in FAMILIES:
             raise BadParameter(f"unknown family kind: {self.kind!r}; known "
                                f"kinds: {', '.join(FAMILIES)}")
         if not isinstance(self.params, dict):
             raise BadParameter(f"{self.kind} parameters must be a dict, got "
                                f"{self.params!r}")
+        if not all(isinstance(name, str) for name in self.params):
+            raise BadParameter(f"{self.kind} parameter names must be strings, "
+                               f"got {tuple(self.params)!r}")
         expected = FAMILIES[self.kind][0]
         given = tuple(sorted(self.params))
         if given != tuple(sorted(expected)):
@@ -248,12 +148,32 @@ class FamilySpec:
                                    f"integer, got {value!r}")
         object.__setattr__(self, "params", dict(self.params))
 
-    def _args(self) -> list[int]:
-        return [self.params[name] for name in FAMILIES[self.kind][0]]
+    def _draw(self):
+        # the one size check.  No family has fewer points than any parameter,
+        # so parameters outside 1..MAX_GROUND are refused before a point is
+        # drawn, and an oversized family after MAX_GROUND + 1 points.
+        names, describe = FAMILIES[self.kind]
+        args = [self.params[name] for name in names]
+        for name, value in zip(names, args):
+            if not 1 <= value <= MAX_GROUND:
+                raise BadParameter(f"{self.kind} parameter {name} must be in "
+                                   f"1..{MAX_GROUND}, got {value}")
+        points, label, ge, rank = describe(*args)
+        points = list(islice(points, MAX_GROUND + 1))
+        if len(points) > MAX_GROUND:
+            raise BadParameter(f"{self.kind} {dict(zip(names, args))} has more "
+                               f"than {MAX_GROUND} elements")
+        return GroundSet(tuple(map(label, points))), points, ge, rank
 
     def build(self) -> Preorder:
-        return _order(self.kind, *self._args())
+        ground, points, ge, _ = self._draw()
+        return Preorder(ground, tuple(
+            mask_of(j for j, b in enumerate(points) if ge(a, b)) for a in points))
 
     def expected_bca(self) -> TotalPreorder:
         """Closed-form best approximation for this family."""
-        return _answer(self.kind, *self._args())
+        ground, points, _, rank = self._draw()
+        ranks = [rank(point) for point in points]
+        return TotalPreorder(ground, tuple(
+            mask_of(i for i, r in enumerate(ranks) if r == top)
+            for top in sorted(set(ranks), reverse=True)))

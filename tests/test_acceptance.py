@@ -35,7 +35,7 @@ from preorder_bca import (
     top_difference_fast,
     verify_strict_optimality,
 )
-from preorder_bca import families
+from worked_examples import spec
 from conftest import random_preorder
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -173,22 +173,22 @@ def test_criterion_5_family_closed_forms():
     small_start = time.perf_counter()
 
     for z in (2, 3):
-        report = bca_bruteforce(families.containment_order(z))
-        assert report.bca_set == (families.cardinality_ordering(z),)
+        report = bca_bruteforce(spec("containment", z=z).build())
+        assert report.bca_set == (spec("containment", z=z).expected_bca(),)
 
-    report = bca_bruteforce(families.refinement_order(3))
-    assert report.bca_set == (families.cell_count_ordering(3),)
+    report = bca_bruteforce(spec("refinement", z=3).build())
+    assert report.bca_set == (spec("refinement", z=3).expected_bca(),)
 
-    report = bca_bruteforce(families.word_prefix_order(2, 2))
-    assert report.bca_set == (families.word_length_ordering(2, 2),)
+    report = bca_bruteforce(spec("word_prefix", alphabet=2, k=2).build())
+    assert report.bca_set == (spec("word_prefix", alphabet=2, k=2).expected_bca(),)
 
-    report = bca_bruteforce(families.coordinatewise_order(2))
-    assert report.bca_set == (families.sum_ordering(2),)
+    report = bca_bruteforce(spec("coordinatewise", m=2).build())
+    assert report.bca_set == (spec("coordinatewise", m=2).expected_bca(),)
     assert time.perf_counter() - small_start < 60.0
 
     grid_start = time.perf_counter()
-    report = bca_bruteforce(families.coordinatewise_order(3))
-    assert report.bca_set == (families.sum_ordering(3),)
+    report = bca_bruteforce(spec("coordinatewise", m=3).build())
+    assert report.bca_set == (spec("coordinatewise", m=3).expected_bca(),)
     assert time.perf_counter() - grid_start < 600.0
 
     budget.done("containment z<=3, refinement z=3, words (2,2), grid m<=3 "
@@ -199,7 +199,7 @@ def test_criterion_6_condition_star_verdicts():
     budget = Budget("criterion 6 (condition star verdicts)", 60.0)
 
     for n in (2, 3, 5):
-        assert condition_star(families.chain(n)).verdict == "strict"
+        assert condition_star(spec("chain", n=n).build()).verdict == "strict"
 
     ex5 = condition_star(wx.example5_base())
     assert ex5.verdict == "weak"
@@ -212,13 +212,13 @@ def test_criterion_6_condition_star_verdicts():
         assert condition_star(wx.example7_base(k)).verdict == "fails"
 
     for z in (1, 2, 3):
-        assert condition_star(families.containment_order(z)).verdict == "strict"
-    assert condition_star(families.word_prefix_order(2, 2)).verdict == "strict"
+        assert condition_star(spec("containment", z=z).build()).verdict == "strict"
+    assert condition_star(spec("word_prefix", alphabet=2, k=2).build()).verdict == "strict"
 
     # reversed word order: every binding witness is an exact equality (the
     # same arithmetic as Example 5), so the condition is not satisfied, and
     # the canonical completion is still the unique brute-force answer
-    word = families.word_prefix_order(2, 2)
+    word = spec("word_prefix", alphabet=2, k=2).build()
     rev = Preorder(word.ground, word.cols)
     rev_report = condition_star(rev)
     assert rev_report.verdict == "weak"
@@ -273,7 +273,7 @@ def test_criterion_8_strict_completion_optimality():
         for base in enumerate_preorders(ground):
             assert verify_strict_optimality(base).all_strict_attain
 
-    report = verify_strict_optimality(families.containment_order(2))
+    report = verify_strict_optimality(spec("containment", z=2).build())
     assert report.minimum == 1
     assert sorted(t.render() for t in report.attaining) == [
         "[{a,b}] > [{a}] > [{b}] > [{}]",

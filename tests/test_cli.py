@@ -8,10 +8,11 @@ import sys
 import pytest
 
 import preorder_bca
-from preorder_bca import TooLarge, bca_auto, cli, families, parse_document
+from preorder_bca import TooLarge, bca_auto, cli, parse_document
 from preorder_bca.documents import (document_to_json, document_to_preorder,
                                     render_dot)
 from conftest import random_preorder
+from worked_examples import spec
 
 DATA = pathlib.Path(__file__).parent / "data"
 FIXTURES = DATA / "fixtures"
@@ -98,7 +99,7 @@ def test_bca_auto_refusal_is_the_completion_guard(tmp_path, capsys):
     # auto has no brute-force fallback: past duality's class guard it refuses
     message = "base has 32 indifference classes; completion enumeration guard is 9"
     with pytest.raises(TooLarge, match=f"^{message}$"):
-        bca_auto(families.containment_order(5))
+        bca_auto(spec("containment", z=5).build())
     code, out, _ = run_cli(capsys, "generate", "containment", "--z", "5")
     assert code == 0
     doc = tmp_path / "containment5.json"

@@ -19,9 +19,9 @@ from preorder_bca import (
     to_total,
     validate_preorder,
 )
-from preorder_bca import families
 from preorder_bca.core import Relation, iter_bits
 from conftest import random_preorder
+from worked_examples import spec
 
 
 # -- oracles by definition ----------------------------------------------------
@@ -132,7 +132,7 @@ def test_example2_has_seven_completions():
 
 def test_completions_of_equality_are_all_totals():
     for n in (2, 3, 4):
-        eq = families.equality(n)
+        eq = spec("equality", n=n).build()
         count = sum(1 for _ in enumerate_completions(eq))
         assert count == wx.fubini(n)
 
@@ -176,7 +176,7 @@ def test_filtered_streams_match_the_definitions():
 
 
 def test_fence8_has_49_maximal_completions():
-    fence8 = families.fence(8)
+    fence8 = spec("fence", k=8).build()
     maximal = list(enumerate_completions(fence8, "maximal"))
     assert len(maximal) == 49
     assert len({c.blocks for c in maximal}) == 49
@@ -204,26 +204,26 @@ def test_example6_and_8_maximal_sets():
 
 
 def test_is_maximal_completion_rejects_non_completions():
-    eq = families.equality(2)
+    eq = spec("equality", n=2).build()
     not_completion = wx.total(("x1", "x2"), ("x1",), ("x2",))
     # a linear order is a completion of equality, so use a broken base instead
-    chain = families.chain(2)
+    chain = spec("chain", n=2).build()
     flipped = wx.total(("x1", "x2"), ("x2",), ("x1",))
     with pytest.raises(NotACompletion):
         is_maximal_completion(flipped, chain)
-    assert is_maximal_completion(to_total(families.indifferent(2)), eq)
+    assert is_maximal_completion(to_total(spec("indifferent", n=2).build()), eq)
     assert not is_maximal_completion(not_completion, eq)
 
 
 def test_unknown_completion_filter_raises_bad_parameter():
     assert issubclass(BadParameter, ValueError)
     with pytest.raises(BadParameter, match="unknown completion filter"):
-        enumerate_completions(families.chain(2), "maximum")
+        enumerate_completions(spec("chain", n=2).build(), "maximum")
 
 
 def test_strict_completions():
     # strict completions of a partial order are linear orders
-    for base in (wx.example2_base(), wx.example3_base(), families.fence(4)):
+    for base in (wx.example2_base(), wx.example3_base(), spec("fence", k=4).build()):
         strict = list(enumerate_completions(base, "strict"))
         assert strict
         for cand in strict:
@@ -237,13 +237,13 @@ def test_strict_completions():
 
 
 def test_canonical_completion_examples():
-    eq = families.equality(3)
+    eq = spec("equality", n=3).build()
     assert canonical_completion(eq).blocks == (eq.ground.full_mask,)
 
-    cont2 = families.containment_order(2)
-    assert canonical_completion(cont2) == families.cardinality_ordering(2)
+    cont2 = spec("containment", z=2).build()
+    assert canonical_completion(cont2) == spec("containment", z=2).expected_bca()
 
-    total = families.sum_ordering(3)
+    total = spec("coordinatewise", m=3).expected_bca()
     assert canonical_completion(Preorder(total.ground, total.rows)) == total
 
 

@@ -15,7 +15,6 @@ from preorder_bca import (
     ViolationError,
     down_set,
     enumerate_preorders,
-    hasse_edges,
     incomparable_witness,
     is_completion,
     is_total,
@@ -24,9 +23,9 @@ from preorder_bca import (
     to_total,
     validate_preorder,
 )
-from preorder_bca import families
 from preorder_bca.core import iter_bits, mask_of
 from conftest import random_preorder
+from worked_examples import spec
 from quotient_oracle import restrict
 
 
@@ -97,7 +96,7 @@ def test_malformed_arguments_raise_invalid_relation(build, message):
         "down-set", "down-set-float", "down-set-bool", "score"])
 def test_out_of_range_arguments_raise_bad_parameter(call, message):
     with pytest.raises(BadParameter, match=message):
-        call(families.chain(3))
+        call(spec("chain", n=3).build())
 
 
 def test_relation_requires_reflexivity():
@@ -125,20 +124,20 @@ def test_validate_fence_closure():
 def test_asymmetric_and_symmetric_parts():
     # the strict down-sets are the asymmetric part, the indifference
     # classes the symmetric one
-    eq = families.equality(3)
+    eq = spec("equality", n=3).build()
     assert eq.strict_down == (0, 0, 0)
     assert eq.quotient.classes == (0b001, 0b010, 0b100)
 
-    chain = families.chain(3)
+    chain = spec("chain", n=3).build()
     assert sum(m.bit_count() for m in chain.strict_down) == 3
 
-    indiff = families.indifferent(3)
+    indiff = spec("indifferent", n=3).build()
     assert indiff.strict_down == (0, 0, 0)
     assert indiff.quotient.classes == (0b111,)
 
 
 def test_restrict_chain_and_identity():
-    chain = families.chain(3)  # x1 > x2 > x3
+    chain = spec("chain", n=3).build()  # x1 > x2 > x3
     sub = restrict(chain, mask_of([0, 2]))
     assert sub.ground.labels == ("x1", "x3")
     assert sub.holds(0, 1) and not sub.holds(1, 0)
@@ -173,12 +172,12 @@ def test_maximal_elements_examples():
 
 
 def test_down_up_sets():
-    chain = families.chain(4)  # x1 top .. x4 bottom; x_i has i elements above-eq
+    chain = spec("chain", n=4).build()  # x1 top .. x4 bottom; x_i has i elements above-eq
     for i in range(4):
         assert down_set(chain, i).bit_count() == 4 - i
         assert chain.strict_up[i].bit_count() == i
 
-    indiff = families.indifferent(3)
+    indiff = spec("indifferent", n=3).build()
     for x in range(3):
         assert indiff.strict_up[x] == 0
 
@@ -191,10 +190,10 @@ def test_down_up_sets():
 
 
 def test_layers():
-    cont = families.containment_order(3)
+    cont = spec("containment", z=3).build()
     assert tuple(m.bit_count() for m in layers(cont)) == (1, 3, 3, 1)
 
-    indiff = families.indifferent(4)
+    indiff = spec("indifferent", n=4).build()
     assert layers(indiff) == (indiff.ground.full_mask,)
 
     ex7 = wx.example7_base(2)
@@ -215,8 +214,8 @@ def test_layers_partition_random(rng):
 
 
 def test_totality():
-    assert is_total(families.chain(4))
-    assert to_total(families.chain(4)).block_sizes() == (1, 1, 1, 1)
+    assert is_total(spec("chain", n=4).build())
+    assert to_total(spec("chain", n=4).build()).block_sizes() == (1, 1, 1, 1)
 
     ex5 = wx.example5_base()
     assert not is_total(ex5)
@@ -252,7 +251,7 @@ _EQUIVALENT_ON_A_TOTAL_PREORDER = {
     "bca_bruteforce": lambda base, t: pb.bca_bruteforce(t),
     "bca_duality": lambda base, t: pb.bca_duality(t),
     "layers": lambda base, t: layers(t),
-    "hasse_edges": lambda base, t: hasse_edges(t),
+    "hasse_edges": lambda base, t: tuple(t.quotient.covers()),
     "render_dot": lambda base, t: pb.render_dot(t),
     "document_from_relation": lambda base, t: pb.document_from_relation(t),
 }
@@ -261,7 +260,7 @@ _EQUIVALENT_ON_A_TOTAL_PREORDER = {
 @pytest.mark.parametrize("name", sorted(_EQUIVALENT_ON_A_TOTAL_PREORDER))
 def test_total_preorder_acts_as_its_preorder(name):
     call = _EQUIVALENT_ON_A_TOTAL_PREORDER[name]
-    base = families.fence(4)
+    base = spec("fence", k=4).build()
     for t in pb.enumerate_total_preorders(base.ground):
         p = Preorder(t.ground, t.rows)
         assert isinstance(t, Preorder) and t != p
@@ -272,7 +271,7 @@ def test_completion_and_index_checks_require_a_total_candidate():
     from preorder_bca import (index_total, is_maximal_completion,
                               normalized_index)
 
-    base = families.fence(4)
+    base = spec("fence", k=4).build()
     partial = Preorder(base.ground, base.rows)
     for check in (is_completion, is_maximal_completion):
         with pytest.raises(NotTotal):
@@ -280,7 +279,7 @@ def test_completion_and_index_checks_require_a_total_candidate():
     for index in (index_total, normalized_index):
         with pytest.raises(NotTotal):
             index(partial)
-    answer = families.two_block(4)
+    answer = spec("fence", k=4).expected_bca()
     plain = Preorder(answer.ground, answer.rows)
     assert to_total(answer) is answer
     assert is_completion(plain, base) and is_maximal_completion(plain, base)
@@ -289,7 +288,7 @@ def test_completion_and_index_checks_require_a_total_candidate():
 
 
 def test_is_completion():
-    eq = families.equality(3)
+    eq = spec("equality", n=3).build()
     from preorder_bca import enumerate_total_preorders
 
     for t in enumerate_total_preorders(eq.ground):
@@ -310,26 +309,27 @@ def test_self_completion_of_totals():
     ground = GroundSet(("a", "b", "c", "d"))
     for t in enumerate_total_preorders(ground):
         assert is_completion(t, Preorder(t.ground, t.rows))
-    for t in (families.cardinality_ordering(2), families.sum_ordering(2),
+    for t in (spec("containment", z=2).expected_bca(),
+              spec("coordinatewise", m=2).expected_bca(),
               wx.example4_answer()):
         assert is_completion(t, Preorder(t.ground, t.rows))
 
 
 def test_hasse_edges():
-    chain = families.chain(3)
-    assert hasse_edges(chain) == (("x1", "x2"), ("x2", "x3"))
+    chain = spec("chain", n=3).build()
+    assert wx.cover_labels(chain) == (("x1", "x2"), ("x2", "x3"))
 
-    crown = families.crown(6)
-    assert len(hasse_edges(crown)) == 6
+    crown = spec("crown", k=6).build()
+    assert len(wx.cover_labels(crown)) == 6
 
-    fence = families.fence(6)
-    assert len(hasse_edges(fence)) == 5
+    fence = spec("fence", k=6).build()
+    assert len(wx.cover_labels(fence)) == 5
 
-    indiff = families.indifferent(3)
-    assert hasse_edges(indiff) == ()
+    indiff = spec("indifferent", n=3).build()
+    assert wx.cover_labels(indiff) == ()
 
     ex4 = wx.example4_answer()
-    assert hasse_edges(ex4) == (("a1,a2", "y"), ("x", "a1,a2"))
+    assert wx.cover_labels(ex4) == (("a1,a2", "y"), ("x", "a1,a2"))
 
 
 @given(st.integers(1, 6), st.data())

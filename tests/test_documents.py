@@ -15,7 +15,7 @@ from preorder_bca import (
     parse_document,
     render_dot,
 )
-from preorder_bca import families
+from worked_examples import spec
 
 
 def test_parse_rejects_deep_nesting_and_lone_surrogate_labels():
@@ -138,13 +138,13 @@ def test_roundtrip_random_documents(n, seed, density):
 
 
 def test_document_of_a_total_preorder():
-    total = families.cardinality_ordering(2)
+    total = spec("containment", z=2).expected_bca()
     doc = document_from_relation(total)
     assert document_to_preorder(doc).rows == total.rows
 
 
 def test_render_dot_chain():
-    dot = render_dot(families.chain(3))
+    dot = render_dot(spec("chain", n=3).build())
     assert dot == (
         "digraph hasse {\n"
         "  rankdir=TB;\n"
@@ -158,7 +158,7 @@ def test_render_dot_chain():
 
 
 def test_render_dot_single_class():
-    dot = render_dot(families.indifferent(3))
+    dot = render_dot(spec("indifferent", n=3).build())
     assert '  n0 [label="x1,x2,x3"];' in dot
     assert "->" not in dot
 

@@ -22,12 +22,12 @@ from preorder_bca import (
     top_difference_direct,
     top_difference_fast,
 )
-from preorder_bca import families
+from worked_examples import spec
 from conftest import random_preorder
 
 
 def test_singleton_ground_set():
-    one = families.equality(1)
+    one = spec("equality", n=1).build()
     assert top_difference_fast(one, one) == 0
     assert top_difference_direct(one, one) == 0
     assert ksb_distance(one, one) == 0
@@ -59,7 +59,7 @@ def test_ordered_partition_stream_is_lexicographic():
 
 
 def test_completion_stream_reiterable():
-    base = families.fence(6)
+    base = spec("fence", k=6).build()
     stream = enumerate_completions(base)
     first = [c.blocks for c in stream]
     second = [c.blocks for c in stream]
@@ -67,12 +67,12 @@ def test_completion_stream_reiterable():
 
 
 def test_parallel_queries_share_immutable_relations():
-    base = families.containment_order(3)
+    base = spec("containment", z=3).build()
     totals = list(enumerate_total_preorders(GroundSet(("p", "q", "r"))))
 
     def work(seed: int) -> tuple:
         d = top_difference_fast(base, canonical_completion(base))
-        rep = bca_auto(families.coordinatewise_order(2))
+        rep = bca_auto(spec("coordinatewise", m=2).build())
         return d, rep.distance, len(totals)
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
@@ -106,7 +106,7 @@ _GUARDED = {
 
 @pytest.mark.parametrize("name", sorted(_GUARDED))
 def test_guard_override_must_be_an_integer(name):
-    base = families.equality(2)
+    base = spec("equality", n=2).build()
     for value in ("9", True, 4.0):
         with pytest.raises(BadParameter, match="^guard override must be an "
                                                "integer, got "):
@@ -125,4 +125,4 @@ def test_guard_override_must_be_an_integer(name):
 def test_element_guard_messages(name, message):
     with pytest.raises(TooLarge, match=rf"^{message} on 2 elements exceeds the "
                                        r"guard \(1\); raise max_n to insist$"):
-        _GUARDED[name](families.equality(2), 1)
+        _GUARDED[name](spec("equality", n=2).build(), 1)

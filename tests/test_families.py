@@ -15,75 +15,75 @@ from preorder_bca import (
     bca_bruteforce,
     canonical_completion,
     condition_star,
-    hasse_edges,
     is_completion,
     is_total,
     layers,
-    preorder_from_predicate,
     to_total,
     top_difference_direct,
     validate_preorder,
 )
-from preorder_bca import families
 from preorder_bca.families import FAMILIES
 from preorder_bca.core import iter_bits
+from worked_examples import spec
 
 
 def test_containment_small():
-    two_chain = families.containment_order(1)
+    two_chain = spec("containment", z=1).build()
     assert is_total(two_chain)
     assert to_total(two_chain).block_sizes() == (1, 1)
 
-    cont3 = families.containment_order(3)
+    cont3 = spec("containment", z=3).build()
     assert tuple(m.bit_count() for m in layers(cont3)) == (1, 3, 3, 1)
     assert cont3.ground.labels[0] == "{}"
     assert "{a,c}" in cont3.ground.labels
 
-    assert canonical_completion(families.containment_order(2)) == \
-        families.cardinality_ordering(2)
+    cont2 = spec("containment", z=2)
+    assert canonical_completion(cont2.build()) == cont2.expected_bca()
     with pytest.raises(BadParameter):
-        families.containment_order(7)
+        spec("containment", z=7).build()
 
 
 def test_cardinality_ordering_blocks():
-    card = families.cardinality_ordering(2)
+    card = spec("containment", z=2).expected_bca()
     assert card.block_sizes() == (1, 2, 1)
     assert card.render() == "[{a,b}] > [{a},{b}] > [{}]"
 
 
 def test_refinement_small():
-    ref2 = families.refinement_order(2)
+    ref2 = spec("refinement", z=2).build()
     assert to_total(ref2).render() == "[ab] > [a|b]"
 
-    ref3 = families.refinement_order(3)
+    ref3 = spec("refinement", z=3).build()
     assert ref3.n == 5
     assert tuple(m.bit_count() for m in layers(ref3)) == (1, 3, 1)
-    assert families.cell_count_ordering(3).block_sizes() == (1, 3, 1)
-    assert canonical_completion(ref3) == families.cell_count_ordering(3)
+    cells3 = spec("refinement", z=3).expected_bca()
+    assert cells3.block_sizes() == (1, 3, 1)
+    assert canonical_completion(ref3) == cells3
 
 
 def test_refinement_bca_is_cell_count():
-    report = bca_bruteforce(families.refinement_order(3))
-    assert report.bca_set == (families.cell_count_ordering(3),)
+    report = bca_bruteforce(spec("refinement", z=3).build())
+    assert report.bca_set == (spec("refinement", z=3).expected_bca(),)
 
 
 def test_word_order_small():
-    unary = families.word_prefix_order(1, 3)
+    unary = spec("word_prefix", alphabet=1, k=3).build()
     assert is_total(unary)
     assert to_total(unary).render() == "[aaa] > [aa] > [a]"
 
-    word22 = families.word_prefix_order(2, 2)
+    word22 = spec("word_prefix", alphabet=2, k=2).build()
     assert word22.n == 6
     assert tuple(m.bit_count() for m in layers(word22)) == (4, 2)
-    assert canonical_completion(word22) == families.word_length_ordering(2, 2)
+    length22 = spec("word_prefix", alphabet=2, k=2).expected_bca()
+    assert canonical_completion(word22) == length22
 
     report = bca_bruteforce(word22)
-    assert report.bca_set == (families.word_length_ordering(2, 2),)
+    assert report.bca_set == (length22,)
 
 
 def test_word_downward_totality():
     for alphabet, k in ((2, 2), (2, 3), (3, 2)):
-        p = families.word_prefix_order(alphabet, k)
+        p = spec("word_prefix", alphabet=alphabet, k=k).build()
         for x in range(p.n):
             below = list(iter_bits(p.rows[x] & ~(1 << x)))
             for i, y in enumerate(below):
@@ -92,83 +92,86 @@ def test_word_downward_totality():
 
 
 def test_coordinatewise_small():
-    single = families.coordinatewise_order(1)
+    single = spec("coordinatewise", m=1).build()
     assert single.n == 1
 
-    grid2 = families.coordinatewise_order(2)
-    report = bca_bruteforce(grid2)
-    assert report.bca_set == (families.sum_ordering(2),)
-    assert families.sum_ordering(2).render() == "[(2,2)] > [(1,2),(2,1)] > [(1,1)]"
+    grid2 = spec("coordinatewise", m=2)
+    report = bca_bruteforce(grid2.build())
+    assert report.bca_set == (grid2.expected_bca(),)
+    assert grid2.expected_bca().render() == "[(2,2)] > [(1,2),(2,1)] > [(1,1)]"
 
 
 def test_fence_crown_bca_and_edges():
-    assert len(hasse_edges(families.fence(6))) == 5
-    assert len(hasse_edges(families.crown(6))) == 6
-    assert families.fence(6).rows == wx.example6_fence().rows
-    assert families.crown(6).rows == wx.example6_crown().rows
+    fence6, crown6 = spec("fence", k=6).build(), spec("crown", k=6).build()
+    assert len(list(fence6.quotient.covers())) == 5
+    assert len(list(crown6.quotient.covers())) == 6
+    assert fence6.rows == wx.example6_fence().rows
+    assert crown6.rows == wx.example6_crown().rows
 
-    for build in (families.fence, families.crown):
-        report = bca_bruteforce(build(6))
-        assert report.bca_set == (families.two_block(6),)
+    for base in (fence6, crown6):
+        report = bca_bruteforce(base)
+        assert report.bca_set == (spec("fence", k=6).expected_bca(),)
 
     with pytest.raises(BadParameter):
-        families.fence(5)
+        spec("fence", k=5).build()
     with pytest.raises(BadParameter):
-        families.crown(2)
+        spec("crown", k=2).build()
 
 
 def test_chain_equality_indifferent():
-    chain = families.chain(4)
+    chain = spec("chain", n=4).build()
     assert bca_bruteforce(chain).bca_set == (to_total(chain),)
 
-    eq = families.equality(3)
+    eq = spec("equality", n=3).build()
     report = bca_bruteforce(eq)
     assert report.distance == 0
-    assert report.bca_set == (to_total(families.indifferent(3)),)
+    assert report.bca_set == (to_total(spec("indifferent", n=3).build()),)
 
 
 def test_condition_star_per_family():
-    assert condition_star(families.containment_order(2)).verdict == "strict"
-    assert condition_star(families.containment_order(3)).verdict == "strict"
-    assert condition_star(families.word_prefix_order(2, 2)).verdict == "strict"
+    assert condition_star(spec("containment", z=2).build()).verdict == "strict"
+    assert condition_star(spec("containment", z=3).build()).verdict == "strict"
+    assert condition_star(spec("word_prefix", alphabet=2, k=2).build()).verdict == "strict"
     for m in (2, 3):
-        assert condition_star(families.coordinatewise_order(m)).verdict == "strict"
+        assert condition_star(spec("coordinatewise", m=m).build()).verdict == "strict"
 
 
 def test_reversed_word_order_sufficiency_not_necessity():
     # canonical completion wins by brute force although the layer condition
     # does not hold strictly (the k = 1 alphabet-2 case is the only strict one)
-    word = families.word_prefix_order(2, 2)
+    word = spec("word_prefix", alphabet=2, k=2).build()
     rev = Preorder(word.ground, word.cols)
     assert condition_star(rev).verdict == "weak"
     report = bca_bruteforce(rev)
     assert report.bca_set == (canonical_completion(rev),)
 
-    word = families.word_prefix_order(2, 1)
+    word = spec("word_prefix", alphabet=2, k=1).build()
     assert condition_star(Preorder(word.ground, word.cols)).verdict == "strict"
 
 
 def test_canonical_matches_closed_forms():
-    pairs = [
-        (families.containment_order(3), families.cardinality_ordering(3)),
-        (families.refinement_order(4), families.cell_count_ordering(4)),
-        (families.word_prefix_order(2, 3), families.word_length_ordering(2, 3)),
-        (families.coordinatewise_order(4), families.sum_ordering(4)),
-    ]
-    for base, expected in pairs:
-        assert canonical_completion(base) == expected
+    for family in (spec("containment", z=3), spec("refinement", z=4),
+                   spec("word_prefix", alphabet=2, k=3), spec("coordinatewise", m=4)):
+        assert canonical_completion(family.build()) == family.expected_bca()
 
 
 def test_family_spec():
-    spec = FamilySpec("containment", {"z": 2})
-    assert spec.build() == families.containment_order(2)
-    assert spec.expected_bca() == families.cardinality_ordering(2)
+    family = FamilySpec("containment", {"z": 2})
+    assert family.build() == _oracle_containment(2)
+    assert family.expected_bca() == wx.total(
+        ("{}", "{a}", "{b}", "{a,b}"), ("{a,b}",), ("{a}", "{b}"), ("{}",))
 
-    spec = FamilySpec("crown", {"k": 6})
-    assert spec.expected_bca() == families.two_block(6)
+    family = FamilySpec("crown", {"k": 6})
+    assert family.expected_bca() == wx.example6_answer()
 
     with pytest.raises(BadParameter, match="known kinds: containment, "):
         FamilySpec("mystery", {"z": 2})
+    for kind in (["fence"], None, 4):
+        with pytest.raises(BadParameter, match="family kind must be a string"):
+            FamilySpec(kind, {"k": 4})
+    for params in ({1: 2, "k": 4}, {None: 4}):
+        with pytest.raises(BadParameter, match="parameter names must be strings"):
+            FamilySpec("fence", params)
     with pytest.raises(BadParameter):
         FamilySpec("containment", {"k": 2})
     for kind, params in (("fence", {"k": "4"}), ("fence", {"k": 4.0}),
@@ -179,22 +182,23 @@ def test_family_spec():
         with pytest.raises(BadParameter, match="parameters must be a dict"):
             FamilySpec("chain", params)
     with pytest.raises(BadParameter):
-        families.sum_ordering(0)
+        spec("coordinatewise", m=0).expected_bca()
 
 
 def test_refinement_layers_are_cell_counts():
     # layer i collects the partitions with i cells, so layer sizes are the
     # Stirling partition numbers
-    assert tuple(m.bit_count() for m in layers(families.refinement_order(4))) \
+    assert tuple(m.bit_count() for m in layers(spec("refinement", z=4).build())) \
         == (1, 7, 6, 1)
-    assert condition_star(families.refinement_order(3)).verdict == "strict"
+    assert condition_star(spec("refinement", z=3).build()).verdict == "strict"
 
 
 def test_prefix_orders_satisfy_condition_at_larger_sizes():
     for alphabet, k in ((2, 3), (3, 2)):
-        p = families.word_prefix_order(alphabet, k)
+        p = spec("word_prefix", alphabet=alphabet, k=k).build()
         assert condition_star(p).verdict == "strict"
-        assert canonical_completion(p) == families.word_length_ordering(alphabet, k)
+        assert canonical_completion(p) == \
+            spec("word_prefix", alphabet=alphabet, k=k).expected_bca()
 
 
 def _small_specs(kind, max_n=6):
@@ -249,6 +253,15 @@ def test_family_spec_rejects_missing_and_extra_parameters(kind):
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
+def _preorder_from_predicate(labels, weakly_above) -> Preorder:
+    # rows from a label-level comparator, validated, so a non-transitive
+    # comparator raises ViolationError
+    labels = tuple(labels)
+    rows = tuple(sum(1 << j for j, b in enumerate(labels) if weakly_above(a, b))
+                 for a in labels)
+    return validate_preorder(Relation(GroundSet(labels), rows))
+
+
 def _oracle_containment(z):
     labels = ["{" + ",".join(_LETTERS[i] for i in range(z) if (m >> i) & 1) + "}"
               for m in range(1 << z)]
@@ -256,7 +269,7 @@ def _oracle_containment(z):
     def members(label):
         return set(filter(None, label.strip("{}").split(",")))
 
-    return preorder_from_predicate(labels, lambda a, b: members(b) <= members(a))
+    return _preorder_from_predicate(labels, lambda a, b: members(b) <= members(a))
 
 
 def _oracle_refinement(z):
@@ -273,13 +286,13 @@ def _oracle_refinement(z):
         return all(any(set(t) <= set(s) for s in a.split("|"))
                    for t in b.split("|"))
 
-    return preorder_from_predicate(labels, coarser)
+    return _preorder_from_predicate(labels, coarser)
 
 
 def _oracle_word_prefix(alphabet, k):
     labels = ["".join(w) for length in range(1, k + 1)
               for w in product(_LETTERS[:alphabet], repeat=length)]
-    return preorder_from_predicate(labels, lambda a, b: a.startswith(b))
+    return _preorder_from_predicate(labels, lambda a, b: a.startswith(b))
 
 
 def _oracle_coordinatewise(m):
@@ -290,7 +303,7 @@ def _oracle_coordinatewise(m):
         b1, b2 = (int(t) for t in b.strip("()").split(","))
         return a1 >= b1 and a2 >= b2
 
-    return preorder_from_predicate(labels, ge)
+    return _preorder_from_predicate(labels, ge)
 
 
 def _oracle_covers(n, covers):
@@ -308,7 +321,7 @@ def _oracle_covers(n, covers):
         return seen
 
     down = {i: reach(i) for i in range(1, n + 1)}
-    return preorder_from_predicate(
+    return _preorder_from_predicate(
         [f"x{i}" for i in range(1, n + 1)],
         lambda a, b: int(b[1:]) in down[int(a[1:])])
 
@@ -339,7 +352,7 @@ ORACLES = {
     "chain": (lambda n: _oracle_covers(n, [(i, i + 1) for i in range(1, n)]),
               [(n,) for n in range(1, 65)]),
     "equality": (lambda n: _oracle_covers(n, []), [(n,) for n in range(1, 65)]),
-    "indifferent": (lambda n: preorder_from_predicate(
+    "indifferent": (lambda n: _preorder_from_predicate(
         [f"x{i}" for i in range(1, n + 1)], lambda a, b: True),
         [(n,) for n in range(1, 65)]),
 }
@@ -412,9 +425,10 @@ def test_validate_preorder_reports_every_witness_in_order():
         if not expected:
             assert validate_preorder(rel).rows == rows
             continue
-        with pytest.raises(ViolationError) as info:
-            validate_preorder(rel)
-        assert list(info.value.witnesses) == expected
+        for build in (validate_preorder, lambda rel: Preorder(rel.ground, rel.rows)):
+            with pytest.raises(ViolationError) as info:
+                build(rel)
+            assert list(info.value.witnesses) == expected
         checked += 1
     assert checked > 100
     broken = Relation(GroundSet(("a", "b", "c")), (0b011, 0b110, 0b100))

@@ -16,7 +16,8 @@ from preorder_bca import (
     top_difference_fast,
     verify_strict_optimality,
 )
-from preorder_bca import _backend, families
+from preorder_bca import _backend
+from worked_examples import spec
 from preorder_bca.core import mask_of
 from conftest import random_preorder
 
@@ -81,8 +82,8 @@ def test_example5_distances():
 
 def test_direct_guard():
     with pytest.raises(TooLarge):
-        top_difference_direct(families.containment_order(5),
-                              families.containment_order(5))
+        top_difference_direct(spec("containment", z=5).build(),
+                              spec("containment", z=5).build())
 
 
 def test_three_routes_agree_exhaustive_n3():
@@ -140,7 +141,7 @@ def test_fast_distance_past_word_size():
     # which gives an independent arithmetic cross-check at this size
     from preorder_bca import canonical_completion, index_total
 
-    base = families.containment_order(6)
+    base = spec("containment", z=6).build()
     assert base.n == 64
     q = canonical_completion(base)
     d = top_difference_fast(base, q)
@@ -172,14 +173,14 @@ def test_completion_distance_identity_small(rng):
 
 
 def test_ksb_examples():
-    eq = families.equality(3)
-    indiff = families.indifferent(3)
+    eq = spec("equality", n=3).build()
+    indiff = spec("indifferent", n=3).build()
     assert ksb_distance(eq, indiff) == 6
     assert ksb_distance(eq, eq) == 0
 
 
 def test_strict_optimality_equality_base():
-    eq = families.equality(2)
+    eq = spec("equality", n=2).build()
     report = verify_strict_optimality(eq)
     assert report.minimum == 1
     assert len(report.attaining) == 2
@@ -188,7 +189,7 @@ def test_strict_optimality_equality_base():
 
 
 def test_strict_optimality_total_base():
-    total = families.chain(3)
+    total = spec("chain", n=3).build()
     report = verify_strict_optimality(total)
     assert report.minimum == 0
     assert [t.blocks for t in report.attaining] == [(1, 2, 4)]
@@ -198,7 +199,7 @@ def test_strict_optimality_total_base():
 def test_strict_optimality_containment_two_elements():
     # two-element base set: the KSB-best total preorders are exactly the two
     # linear orders with the full set on top and the empty set at the bottom
-    base = families.containment_order(2)
+    base = spec("containment", z=2).build()
     report = verify_strict_optimality(base)
     assert report.minimum == 1
     assert sorted(t.render() for t in report.attaining) == [
@@ -208,7 +209,7 @@ def test_strict_optimality_containment_two_elements():
     assert sorted(t.render() for t in report.strict_completions) == sorted(
         t.render() for t in report.attaining)
     assert report.all_strict_attain
-    cardinality = families.cardinality_ordering(2)
+    cardinality = spec("containment", z=2).expected_bca()
     assert cardinality.blocks not in {t.blocks for t in report.attaining}
 
 

@@ -16,13 +16,11 @@ from preorder_bca import (
     condition_star,
     enumerate_completions,
     enumerate_preorders,
-    families,
-    hasse_edges,
     index_general,
     layers,
 )
 from preorder_bca.core import iter_bits, mask_of
-from worked_examples import closure_preorder
+from worked_examples import closure_preorder, cover_labels, spec
 
 
 def universe():
@@ -93,7 +91,7 @@ def test_completion_streams_match_oracle(source):
 def test_layers_and_hasse_edges_match_oracle(source):
     for p in CASES[source]():
         assert layers(p) == oracle.layers(p)
-        assert hasse_edges(p) == oracle.hasse_edges(p)
+        assert cover_labels(p) == oracle.hasse_edges(p)
 
 
 @pytest.mark.parametrize("source", CASES)
@@ -127,7 +125,7 @@ def test_inner_index_guard_names_layer_and_y():
         condition_star(base)
     with pytest.raises(TooLarge, match="^layer 2: Y has 11 indifference classes; "
                                        "completion enumeration guard is 9$"):
-        condition_star(families.containment_order(5))
+        condition_star(spec("containment", z=5).build())
 
 
 def test_bca_auto_falls_through_to_duality_on_a_wide_layer():

@@ -19,20 +19,20 @@ from preorder_bca import (
     score,
     to_total,
 )
-from preorder_bca import families
+from worked_examples import spec
 
 
 def test_score_examples():
-    chain = families.chain(5)  # x1 on top, x5 at the bottom
+    chain = spec("chain", n=5).build()  # x1 on top, x5 at the bottom
     for i in range(5):
         assert score(chain, i) == 2 ** (5 - i)
 
-    indiff = families.indifferent(6)
+    indiff = spec("indifferent", n=6).build()
     for x in range(6):
         assert score(indiff, x) == 2 ** 6
 
     c0 = wx.example8_named()[0]
-    bottom = c0.ground.index_of("y")
+    bottom = c0.ground.labels.index("y")
     assert score(c0, bottom) == 2 ** 4
 
 
@@ -52,17 +52,17 @@ def test_index_example7():
 
 def test_index_extremes():
     for n in (1, 3, 5):
-        linear = to_total(families.chain(n))
+        linear = to_total(spec("chain", n=n).build())
         assert index_total(linear) == 2 * (2**n - 1)
-        indiff = to_total(families.indifferent(n))
+        indiff = to_total(spec("indifferent", n=n).build())
         assert index_total(indiff) == n * 2**n
 
 
 def test_index_general_examples():
     for n in (2, 3, 4):
-        assert index_general(families.equality(n)) == n * 2**n
+        assert index_general(spec("equality", n=n).build()) == n * 2**n
 
-    total = families.sum_ordering(2)
+    total = spec("coordinatewise", m=2).expected_bca()
     assert index_general(total) == index_total(total)
 
     ex7 = wx.example7_base(3)
@@ -104,10 +104,10 @@ def test_normalized_values_are_dyadic():
 
 def test_normalized_index_examples():
     for n in (2, 4):
-        indiff = to_total(families.indifferent(n))
+        indiff = to_total(spec("indifferent", n=n).build())
         assert normalized_index(indiff) == n
 
-    linear3 = to_total(families.chain(3))
+    linear3 = to_total(spec("chain", n=3).build())
     assert normalized_index(linear3) == Fraction(14, 2**3)  # 14/8 = 7/4
 
     c1 = wx.example8_named()[1]

@@ -17,7 +17,8 @@ from preorder_bca import (
     enumerate_preorders,
     top_difference_fast,
 )
-from preorder_bca import _backend, families
+from preorder_bca import _backend
+from worked_examples import spec
 from conftest import random_preorder
 
 
@@ -65,7 +66,7 @@ def test_bca_example8():
 
 
 def test_bca_total_base_is_itself():
-    total = families.sum_ordering(2)
+    total = spec("coordinatewise", m=2).expected_bca()
     report = bca_bruteforce(total)
     assert report.bca_set == (total,)
     assert report.distance == 0
@@ -112,7 +113,7 @@ def test_every_bca_member_is_maximal_exhaustive_n3():
 
 def test_condition_star_linear_orders():
     for n in (2, 4, 6):
-        assert condition_star(families.chain(n)).verdict == "strict"
+        assert condition_star(spec("chain", n=n).build()).verdict == "strict"
 
 
 def test_condition_star_example5_weak_witness():
@@ -149,13 +150,13 @@ def test_condition_star_example8_fails():
 
 
 def test_theorem5_fixtures():
-    report = bca_theorem5(families.containment_order(3))
+    report = bca_theorem5(spec("containment", z=3).build())
     assert report is not None and report.complete_set
-    assert report.bca_set == (families.cardinality_ordering(3),)
+    assert report.bca_set == (spec("containment", z=3).expected_bca(),)
 
-    report = bca_theorem5(families.word_prefix_order(2, 2))
+    report = bca_theorem5(spec("word_prefix", alphabet=2, k=2).build())
     assert report is not None and report.complete_set
-    assert report.bca_set == (families.word_length_ordering(2, 2),)
+    assert report.bca_set == (spec("word_prefix", alphabet=2, k=2).expected_bca(),)
 
     assert bca_theorem5(wx.example8_base()) is None
 
@@ -208,7 +209,7 @@ def test_theorem5_over_every_preorder_up_to_5():
 
 
 def test_bca_auto_routes():
-    strict = bca_auto(families.containment_order(2))
+    strict = bca_auto(spec("containment", z=2).build())
     assert strict.method == "theorem5"
     weak = bca_auto(wx.example5_base())
     assert weak.method == "duality"
@@ -216,7 +217,7 @@ def test_bca_auto_routes():
     fails = bca_auto(wx.example8_base())
     assert fails.method == "duality"
     # the report carries the verdict that chose the route
-    for report, base in ((strict, families.containment_order(2)),
+    for report, base in ((strict, spec("containment", z=2).build()),
                          (weak, wx.example5_base()),
                          (fails, wx.example8_base())):
         assert report.condition_star == condition_star(base)
@@ -330,7 +331,7 @@ def test_solvers_reach_the_traced_kernel_names(monkeypatch):
             calls.append(_name)
             return _kernel(*args)
         monkeypatch.setattr(_backend, name, counted)
-    base = families.chain(3)
+    base = spec("chain", n=3).build()
     top_difference_fast(base, base)
     assert calls == ["fast_distance"]
     calls.clear()

@@ -7,7 +7,21 @@ not lean on the library's own closure code.
 
 from __future__ import annotations
 
-from preorder_bca import GroundSet, Preorder, Relation, TotalPreorder, validate_preorder
+from preorder_bca import (FamilySpec, GroundSet, Preorder, Relation, TotalPreorder,
+                          validate_preorder)
+from preorder_bca.core import class_label
+
+
+def spec(kind: str, **params: int) -> FamilySpec:
+    return FamilySpec(kind, params)
+
+
+def cover_labels(p: Preorder) -> tuple[tuple[str, str], ...]:
+    """``p.quotient.covers()``, the edges ``render_dot`` draws, as sorted
+    (upper, lower) pairs of class labels."""
+    classes = p.quotient.classes
+    return tuple(sorted((class_label(p, classes[a]), class_label(p, classes[b]))
+                        for a, b in p.quotient.covers()))
 
 
 def closure_preorder(labels, strict_pairs) -> Preorder:
