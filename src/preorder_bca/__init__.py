@@ -21,8 +21,7 @@ _EXPORTS = {
     "core": (
         "GroundSet", "Mask", "Preorder", "Relation", "TotalPreorder",
         "down_set", "incomparable_witness", "is_completion", "is_total",
-        "layers", "maximal_elements", "relation_violations", "to_total",
-        "validate_preorder",
+        "layers", "maximal_elements", "to_total", "validate_preorder",
     ),
     "completions": (
         "CompletionStream", "canonical_completion", "enumerate_completions",

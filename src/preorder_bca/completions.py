@@ -32,7 +32,7 @@ from .core import (
     mask_of,
     to_total,
 )
-from .errors import BadParameter, NotACompletion, TooLarge
+from .errors import BadParameter, NotACompletion
 
 # Conservative guard defaults.  Fubini(9) is ~7.1e6 (the largest sweep any
 # acceptance target needs); the 355 preorders on four elements are the
@@ -89,11 +89,8 @@ def class_blocks(q: Quotient, classes: Mask, which: str = "all",
                  max_classes: int | None = None) -> Iterator[tuple[Mask, ...]]:
     """Completions of ``q`` restricted to the class mask ``classes``, as
     tuples of class masks, top block first."""
-    k = classes.bit_count()
-    limit = guard(MAX_COMPLETION_CLASSES, max_classes)
-    if k > limit:
-        raise TooLarge(f"base has {k} indifference classes; completion "
-                       f"enumeration guard is {limit}")
+    guard(MAX_COMPLETION_CLASSES, max_classes, classes.bit_count(),
+          "enumerating completions", "indifference classes")
     up = q.up
     maximal_only = which == "maximal"
     strict_only = which == "strict"

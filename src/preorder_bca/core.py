@@ -73,15 +73,15 @@ class GroundSet:
         return tuple(sorted(self.labels[i] for i in iter_bits(mask)))
 
 
-def guard(default: int, override, n: int = 0, what: str = "") -> int:
+def guard(default: int, override, n: int, what: str, unit: str = "elements") -> int:
     """A feasibility guard: ``default``, or an override that is an int (not a
-    bool).  Given ``what``, refuses to run it on ``n`` elements past the guard."""
+    bool).  Refuses to run ``what`` on ``n`` ``unit`` past the guard: every
+    feasibility refusal of the package is worded here."""
     limit = default if override is None else override
     if not isinstance(limit, int) or isinstance(limit, bool):
         raise BadParameter(f"guard override must be an integer, got {limit!r}")
-    if what and n > limit:
-        raise TooLarge(f"{what} on {n} elements exceeds the guard ({limit}); "
-                       "raise max_n to insist")
+    if n > limit:
+        raise TooLarge(f"{what} on {n} {unit} exceeds the guard ({limit})")
     return limit
 
 
@@ -245,12 +245,6 @@ def _transitivity_witnesses(rows):
     return witnesses
 
 
-def relation_violations(rel: Relation) -> list[tuple]:
-    """Every transitivity witness of ``rel`` (empty if it is a preorder);
-    reflexivity is already the :class:`Relation` invariant."""
-    return _transitivity_witnesses(rel.rows)
-
-
 def validate_preorder(rel: Relation) -> Preorder:
     """Return ``rel`` as a Preorder or raise ViolationError with all witnesses."""
     if not isinstance(rel, Relation):
@@ -330,10 +324,10 @@ def maximal_elements(p: Preorder, s: Mask) -> Mask:
     return out
 
 
-def down_set(p: Preorder, x: int, strict: bool = False) -> Mask:
+def down_set(p: Preorder, x: int) -> Mask:
     if type(x) is not int or not 0 <= x < p.n:
         raise BadParameter(f"element {x!r} is not in 0..{p.n - 1}")
-    return p.strict_down[x] if strict else p.rows[x]
+    return p.rows[x]
 
 
 def layers(p: Preorder) -> tuple[Mask, ...]:

@@ -39,7 +39,7 @@ from .core import (
     iter_bits,
     layers,
 )
-from .completions import MAX_COMPLETION_CLASSES, _preorder_rows, canonical_completion
+from .completions import _preorder_rows, canonical_completion
 from .errors import TooLarge
 from .metrics import top_difference_fast
 from .scoring import class_index, index_total
@@ -147,20 +147,16 @@ def condition_star(base: Preorder, max_layer: int | None = None) -> ConditionSta
     S but below no member of M_i outside S.  An empty Y satisfies its
     inequality trivially; any other Y is a union of indifference classes, so
     its index is taken on the quotient's class mask of Y."""
-    limit = guard(MAX_CONDITION_LAYER, max_layer)
     layer_masks = layers(base)
-    # refuse before sweeping any layer, so a refusal costs only the layers
-    for i, layer in enumerate(layer_masks, start=1):
-        size = layer.bit_count()
-        if size >= 2 and size > limit:
-            raise TooLarge(f"layer {i} has {size} elements; the 2^|layer| "
-                           f"subset sweep guard is {limit}")
-    verdict = STRICT
+    # refuse before sweeping any layer, so a refusal costs only the layers;
+    # a layer of one element has no nonempty proper subset to sweep
+    sizes = [m.bit_count() if m & (m - 1) else 0 for m in layer_masks]
+    widest = max(sizes)
+    guard(MAX_CONDITION_LAYER, max_layer, widest,
+          f"layer {sizes.index(widest) + 1} subset sweep")
     witnesses: list[ConditionStarWitness] = []
     strict_down, q = base.strict_down, base.quotient
     for i, layer in enumerate(layer_masks, start=1):
-        if layer.bit_count() < 2:
-            continue
         s = (0 - layer) & layer
         while s != layer:
             below = 0
@@ -172,19 +168,14 @@ def condition_star(base: Preorder, max_layer: int | None = None) -> ConditionSta
                 y = q.classes_in(below)
                 try:
                     value = class_index(q, y)[0]
-                except TooLarge:  # name Y, not the base
-                    raise TooLarge(f"layer {i}: Y has {y.bit_count()} indifference "
-                                   f"classes; completion enumeration guard is "
-                                   f"{MAX_COMPLETION_CLASSES}") from None
+                except TooLarge as exc:  # name the layer whose Y was refused
+                    raise TooLarge(f"layer {i}, Y: {exc}") from None
                 bound = 1 << (s.bit_count() + below.bit_count())
-                if value > bound:
-                    verdict = FAILS
-                    witnesses.append(ConditionStarWitness(i, s, below, value, bound))
-                elif value == bound:
-                    if verdict == STRICT:
-                        verdict = WEAK
+                if value >= bound:
                     witnesses.append(ConditionStarWitness(i, s, below, value, bound))
             s = (s - layer) & layer
+    verdict = (FAILS if any(w.index_value > w.bound for w in witnesses)
+               else WEAK if witnesses else STRICT)
     return ConditionStarReport(verdict, tuple(witnesses))
 
 
@@ -244,17 +235,3 @@ def covering_radius(ground: GroundSet, max_n: int | None = None) -> CoveringRadi
         if distance > best:
             best, witness = distance, rows
     return CoveringRadiusReport(best, Preorder(ground, witness))
-
-
-__all__ = [
-    "ApproximationReport",
-    "ConditionStarReport",
-    "ConditionStarWitness",
-    "CoveringRadiusReport",
-    "bca_auto",
-    "bca_bruteforce",
-    "bca_duality",
-    "bca_theorem5",
-    "condition_star",
-    "covering_radius",
-]

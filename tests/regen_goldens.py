@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import json
 import pathlib
 import sys
 

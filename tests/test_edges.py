@@ -121,8 +121,15 @@ def test_guard_override_must_be_an_integer(name):
     ("verify_strict_optimality", "strict-optimality sweep"),
     ("enumerate_preorders", "enumerating preorders"),
     ("enumerate_total_preorders", "enumerating total preorders"),
+    ("bca_duality", "enumerating completions"),
+    ("index_general", "enumerating completions"),
+    ("enumerate_completions", "enumerating completions"),
+    ("condition_star", "layer 1 subset sweep"),
+    ("bca_theorem5", "layer 1 subset sweep"),
 ])
 def test_element_guard_messages(name, message):
-    with pytest.raises(TooLarge, match=rf"^{message} on 2 elements exceeds the "
-                                       r"guard \(1\); raise max_n to insist$"):
+    # the two-element antichain: two elements, two classes, one layer of two
+    unit = "indifference classes" if message == "enumerating completions" else "elements"
+    with pytest.raises(TooLarge, match=rf"^{message} on 2 {unit} exceeds the "
+                                       r"guard \(1\)$"):
         _GUARDED[name](spec("equality", n=2).build(), 1)

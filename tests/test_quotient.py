@@ -120,11 +120,11 @@ def test_inner_index_guard_names_layer_and_y():
     base = wide_inner_base()
     with pytest.raises(TooLarge):
         oracle.condition_star(base)
-    with pytest.raises(TooLarge, match="^layer 1: Y has 10 indifference classes; "
-                                       "completion enumeration guard is 9$"):
+    with pytest.raises(TooLarge, match=r"^layer 1, Y: enumerating completions on 10 "
+                                       r"indifference classes exceeds the guard \(9\)$"):
         condition_star(base)
-    with pytest.raises(TooLarge, match="^layer 2: Y has 11 indifference classes; "
-                                       "completion enumeration guard is 9$"):
+    with pytest.raises(TooLarge, match=r"^layer 2, Y: enumerating completions on 11 "
+                                       r"indifference classes exceeds the guard \(9\)$"):
         condition_star(spec("containment", z=5).build())
 
 
