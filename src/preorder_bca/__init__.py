@@ -34,9 +34,8 @@ _EXPORTS = {
         "parse_document", "render_dot",
     ),
     "errors": (
-        "BadParameter", "DocumentError", "EmptySequence", "EmptySubset",
-        "GroundMismatch", "InvalidRelation", "NotACompletion", "NotTotal",
-        "PreorderBcaError", "TooLarge", "ViolationError",
+        "BadParameter", "DocumentError", "NotTotal", "PreorderBcaError",
+        "TooLarge", "ViolationError",
     ),
     "families": ("FamilySpec",),
     "metrics": (

@@ -32,7 +32,7 @@ from .core import (
     mask_of,
     to_total,
 )
-from .errors import BadParameter, NotACompletion
+from .errors import BadParameter
 
 # Conservative guard defaults.  Fubini(9) is ~7.1e6 (the largest sweep any
 # acceptance target needs); the 355 preorders on four elements are the
@@ -46,7 +46,7 @@ def enumerate_total_preorders(ground: GroundSet,
                               max_n: int | None = None) -> Iterator[TotalPreorder]:
     """All Fubini(n) total preorders on ``ground``, deterministically: the
     completions of the discrete order, whose classes are its elements."""
-    _check_arguments(ground)
+    _check_arguments(ground, GroundSet)
     limit = guard(MAX_TOTAL_ENUM_N, max_n, ground.n, "enumerating total preorders")
     discrete = Preorder(ground, tuple(1 << i for i in range(ground.n)))
     for blocks in class_blocks(discrete.quotient, ground.full_mask, "all", limit):
@@ -70,6 +70,7 @@ class CompletionStream:
     max_classes: int | None = None
 
     def __post_init__(self):
+        _check_arguments(self.base)
         if self.which not in ("all", "maximal", "strict"):
             raise BadParameter(f"unknown completion filter: {self.which!r}")
 
@@ -128,7 +129,7 @@ def is_maximal_completion(cand: Preorder, base: Preorder) -> bool:
     Raises NotTotal when ``cand`` is not total."""
     cand = to_total(cand)
     if not is_completion(cand, base):
-        raise NotACompletion("candidate does not complete the base relation")
+        raise BadParameter("candidate does not complete the base relation")
     below = base.strict_down
     for upper, lower in zip(cand.blocks, cand.blocks[1:]):
         if not any(below[x] & lower for x in iter_bits(upper)):
@@ -138,6 +139,7 @@ def is_maximal_completion(cand: Preorder, base: Preorder) -> bool:
 
 def canonical_completion(base: Preorder) -> TotalPreorder:
     """Total preorder whose blocks are the iterated maximal layers of ``base``."""
+    _check_arguments(base)
     return TotalPreorder(base.ground, layers(base))
 
 
@@ -145,7 +147,7 @@ def enumerate_preorders(ground: GroundSet,
                         max_n: int | None = None) -> Iterator[Preorder]:
     """Every preorder on ``ground`` exactly once, in increasing order of the
     off-diagonal bit pattern (row 0 least significant) for reproducibility."""
-    _check_arguments(ground)
+    _check_arguments(ground, GroundSet)
     guard(MAX_PREORDER_ENUM_N, max_n, ground.n, "enumerating preorders")
     for rows in _preorder_rows(ground.n):
         yield Preorder(ground, rows)

@@ -15,15 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from ._record import lazy, record
-from .errors import (
-    BadParameter,
-    EmptySubset,
-    GroundMismatch,
-    InvalidRelation,
-    NotTotal,
-    TooLarge,
-    ViolationError,
-)
+from .errors import BadParameter, NotTotal, TooLarge, ViolationError
 
 Mask = int
 
@@ -53,13 +45,13 @@ class GroundSet:
     def __post_init__(self):
         labels = self.labels
         if not isinstance(labels, (tuple, list)) or not all(isinstance(s, str) for s in labels):
-            raise InvalidRelation("ground set labels must be a list or tuple of strings")
+            raise BadParameter("ground set labels must be a list or tuple of strings")
         object.__setattr__(self, "labels", tuple(labels))
         if not 1 <= len(self.labels) <= MAX_GROUND:
-            raise InvalidRelation(f"ground set size must be in 1..{MAX_GROUND}, "
-                                  f"got {len(self.labels)}")
+            raise BadParameter(f"ground set size must be in 1..{MAX_GROUND}, "
+                               f"got {len(self.labels)}")
         if len(set(self.labels)) != len(self.labels):
-            raise InvalidRelation("ground set labels must be distinct")
+            raise BadParameter("ground set labels must be distinct")
 
     @property
     def n(self) -> int:
@@ -75,23 +67,23 @@ class GroundSet:
 
 def guard(default: int, override, n: int, what: str, unit: str = "elements") -> int:
     """A feasibility guard: ``default``, or an override that is an int (not a
-    bool).  Refuses to run ``what`` on ``n`` ``unit`` past the guard: every
-    feasibility refusal of the package is worded here."""
+    bool) of at least 0.  Refuses to run ``what`` on ``n`` ``unit`` past the
+    guard: every feasibility refusal of the package is worded here."""
     limit = default if override is None else override
-    if not isinstance(limit, int) or isinstance(limit, bool):
-        raise BadParameter(f"guard override must be an integer, got {limit!r}")
+    if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
+        raise BadParameter(f"guard override must be a nonnegative integer, got {limit!r}")
     if n > limit:
         raise TooLarge(f"{what} on {n} {unit} exceeds the guard ({limit})")
     return limit
 
 
-def _check_arguments(ground, masks=(), what: str = "") -> None:
-    """A :class:`GroundSet` and a list or tuple, as the bitmask arithmetic
-    needs; the constructors check each mask is an int (not a bool)."""
-    if not isinstance(ground, GroundSet):
-        raise InvalidRelation(f"ground must be a GroundSet, got {type(ground).__name__}")
-    if not isinstance(masks, (tuple, list)):
-        raise InvalidRelation(f"{what} must be a list or tuple of ints")
+def _check_arguments(value, kind: type | None = None, error: type = BadParameter) -> None:
+    """The package's one type check of an argument: raises ``error`` unless
+    ``value`` is a ``kind``, a :class:`Preorder` unless the call names another."""
+    kind = kind or Preorder
+    if not isinstance(value, kind):
+        what = "ground must be" if kind is GroundSet else "expected"
+        raise error(f"{what} a {kind.__name__}, got {type(value).__name__}")
 
 
 @record
@@ -102,19 +94,20 @@ class Relation:
     rows: tuple[Mask, ...]
 
     def __post_init__(self):
-        _check_arguments(self.ground, self.rows, "relation rows")
-        object.__setattr__(self, "rows", tuple(self.rows))
+        _check_arguments(self.ground, GroundSet)
+        rows = self.rows
+        if not isinstance(rows, (tuple, list)) or not all(type(r) is int for r in rows):
+            raise BadParameter("relation rows must be a list or tuple of ints")
+        object.__setattr__(self, "rows", tuple(rows))
         n = self.ground.n
         if len(self.rows) != n:
-            raise InvalidRelation("row count does not match ground set size")
+            raise BadParameter("row count does not match ground set size")
         full = self.ground.full_mask
         for i, row in enumerate(self.rows):
-            if type(row) is not int:
-                raise InvalidRelation("relation rows must be a list or tuple of ints")
             if row & ~full:
-                raise InvalidRelation(f"row {i} has bits outside the ground set")
+                raise BadParameter(f"row {i} has bits outside the ground set")
             if not (row >> i) & 1:
-                raise InvalidRelation(f"relation is not reflexive at element {i}")
+                raise BadParameter(f"relation is not reflexive at element {i}")
 
     @property
     def n(self) -> int:
@@ -247,8 +240,7 @@ def _transitivity_witnesses(rows):
 
 def validate_preorder(rel: Relation) -> Preorder:
     """Return ``rel`` as a Preorder or raise ViolationError with all witnesses."""
-    if not isinstance(rel, Relation):
-        raise InvalidRelation(f"expected a Relation, got {type(rel).__name__}")
+    _check_arguments(rel, Relation)
     return Preorder(rel.ground, rel.rows)
 
 
@@ -274,19 +266,20 @@ class TotalPreorder(Preorder):
     blocks: tuple[Mask, ...]
 
     def __post_init__(self):
-        _check_arguments(self.ground, self.blocks, "total preorder blocks")
-        object.__setattr__(self, "blocks", tuple(self.blocks))
+        _check_arguments(self.ground, GroundSet)
+        blocks = self.blocks
+        if not isinstance(blocks, (tuple, list)) or not all(type(b) is int for b in blocks):
+            raise BadParameter("total preorder blocks must be a list or tuple of ints")
+        object.__setattr__(self, "blocks", tuple(blocks))
         seen = 0
         for b in self.blocks:
-            if type(b) is not int:
-                raise InvalidRelation("total preorder blocks must be a list or tuple of ints")
             if b == 0:
-                raise InvalidRelation("empty block in total preorder")
+                raise BadParameter("empty block in total preorder")
             if b & seen:
-                raise InvalidRelation("overlapping blocks in total preorder")
+                raise BadParameter("overlapping blocks in total preorder")
             seen |= b
         if seen != self.ground.full_mask:
-            raise InvalidRelation("blocks do not partition the ground set")
+            raise BadParameter("blocks do not partition the ground set")
 
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(b.bit_count() for b in self.blocks)
@@ -307,16 +300,19 @@ class TotalPreorder(Preorder):
 
 
 def _require_same_ground(p, q) -> None:
+    _check_arguments(p)
+    _check_arguments(q)
     if p.ground.labels != q.ground.labels:
-        raise GroundMismatch("relations live on different ground sets")
+        raise BadParameter("relations live on different ground sets")
 
 
 def maximal_elements(p: Preorder, s: Mask) -> Mask:
     """M(S, >=): members of S strictly dominated by no member of S."""
+    _check_arguments(p)
     if type(s) is not int or s & ~p.ground.full_mask:
         raise BadParameter(f"menu {s!r} is not a subset of the ground set")
     if s == 0:
-        raise EmptySubset("maxima are defined only for nonempty menus")
+        raise BadParameter("maxima are defined only for nonempty menus")
     out = 0
     for x in iter_bits(s):
         if s & p.strict_up[x] == 0:
@@ -325,6 +321,7 @@ def maximal_elements(p: Preorder, s: Mask) -> Mask:
 
 
 def down_set(p: Preorder, x: int) -> Mask:
+    _check_arguments(p)
     if type(x) is not int or not 0 <= x < p.n:
         raise BadParameter(f"element {x!r} is not in 0..{p.n - 1}")
     return p.rows[x]
@@ -332,11 +329,13 @@ def down_set(p: Preorder, x: int) -> Mask:
 
 def layers(p: Preorder) -> tuple[Mask, ...]:
     """Iterated maximal layers M_1, M_2, ... partitioning the ground set."""
+    _check_arguments(p)
     q = p.quotient
     return tuple(q.expand(layer) for layer in q.layers)
 
 
 def incomparable_witness(p: Preorder) -> tuple[int, int] | None:
+    _check_arguments(p)
     for i in range(p.n):
         undominated = p.ground.full_mask & ~(p.rows[i] | p.cols[i])
         if undominated:

@@ -21,11 +21,12 @@ from .core import (
     GroundSet,
     Preorder,
     Relation,
+    _check_arguments,
     class_label,
     transitive_closure_rows,
     validate_preorder,
 )
-from .errors import DocumentError, InvalidRelation
+from .errors import BadParameter, DocumentError
 
 SCHEMA = "preorder-doc/1"
 
@@ -93,6 +94,7 @@ class RelationDocument:
 
 def parse_document(text: str) -> RelationDocument:
     """Parse JSON text into a document; raises DocumentError on any defect."""
+    _check_arguments(text, str, DocumentError)
     try:
         raw = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer too long
@@ -127,6 +129,7 @@ def parse_document(text: str) -> RelationDocument:
 
 def document_payload(doc: RelationDocument) -> dict:
     """The document as the JSON object it is written as."""
+    _check_arguments(doc, RelationDocument, DocumentError)
     return {
         "schema": doc.schema,
         "labels": list(doc.labels),
@@ -146,6 +149,7 @@ def document_to_relation(doc: RelationDocument) -> Relation:
     The result may still violate transitivity when closures are off; run it
     through validation to obtain a preorder.
     """
+    _check_arguments(doc, RelationDocument, DocumentError)
     n = len(doc.labels)
     rows = [0] * n
     for i, j in doc.pairs:
@@ -157,7 +161,7 @@ def document_to_relation(doc: RelationDocument) -> Relation:
         rows = transitive_closure_rows(rows)
     try:
         return Relation(GroundSet(tuple(doc.labels)), tuple(rows))
-    except InvalidRelation as exc:
+    except BadParameter as exc:
         raise DocumentError(str(exc)) from exc
 
 
@@ -167,6 +171,7 @@ def document_to_preorder(doc: RelationDocument) -> Preorder:
 
 def document_from_relation(rel: Relation) -> RelationDocument:
     """Document with the full off-diagonal pair list, closures marked done."""
+    _check_arguments(rel, Relation)
     pairs = [(i, j) for i, j in rel.pairs() if i != j]
     return RelationDocument(
         labels=rel.ground.labels,
@@ -185,6 +190,7 @@ def render_dot(p: Preorder, name: str = "hasse") -> str:
     class, edges pointing downward; byte-stable.  Node ``n<c>`` is class
     ``c`` of the quotient, labelled with its members' labels, so labels that
     contain commas cannot merge two nodes."""
+    _check_arguments(p)
     q = p.quotient
     lines = [f"digraph {name} {{", "  rankdir=TB;"]
     lines.extend(f"  n{c} [label={_dot_quote(class_label(p, cls))}];"

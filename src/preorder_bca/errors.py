@@ -1,28 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one class for each thing a
+caller can do about a failure.  Fix an argument (:class:`BadParameter`, whose
+two subclasses carry witnesses), fix a document (:class:`DocumentError`),
+raise a guard (:class:`TooLarge`), or catch everything
+(:class:`PreorderBcaError`)."""
 
 
 class PreorderBcaError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidRelation(PreorderBcaError, ValueError):
-    """A ground set, relation or total preorder failed its construction
-    checks (size, distinct labels, row bits, reflexivity, block partition)."""
+class BadParameter(PreorderBcaError, ValueError):
+    """An argument has the wrong type or lies outside its valid range or set:
+    a ground set, relation or total preorder that failed its construction
+    checks, relations on different ground sets, an empty menu or sequence, a
+    candidate that does not complete its base, or an out-of-range value."""
 
 
-class GroundMismatch(PreorderBcaError):
-    """Two relations were combined but live on different ground sets."""
-
-
-class EmptySubset(PreorderBcaError):
-    """An operation that needs a nonempty menu received the empty set."""
-
-
-class EmptySequence(PreorderBcaError):
-    """An operation that needs a nonempty sequence received an empty one."""
-
-
-class NotTotal(PreorderBcaError):
+class NotTotal(BadParameter):
     """A total preorder was required; carries one incomparable pair."""
 
     def __init__(self, witness: tuple[int, int]):
@@ -31,23 +25,15 @@ class NotTotal(PreorderBcaError):
                          f"{witness[1]} are incomparable")
 
 
-class NotACompletion(PreorderBcaError):
-    """The candidate does not complete the base relation."""
-
-
 class TooLarge(PreorderBcaError):
     """A size guard rejected the input before an infeasible sweep started."""
-
-
-class BadParameter(PreorderBcaError, ValueError):
-    """An operation received a parameter outside its valid range or set."""
 
 
 class DocumentError(PreorderBcaError):
     """A relation document failed to parse or violated its schema."""
 
 
-class ViolationError(PreorderBcaError):
+class ViolationError(BadParameter):
     """Validation failed; carries every transitivity witness.
 
     Each witness is ``("transitivity", i, j, k)``: i >= j and j >= k hold

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from . import _backend
 from ._record import record
-from .core import Preorder, TotalPreorder, _require_same_ground, guard
+from .core import Preorder, TotalPreorder, _check_arguments, _require_same_ground, guard
 
 MAX_DIRECT_N = 20
 MAX_STRICT_OPT_N = 5
@@ -64,6 +64,7 @@ def verify_strict_optimality(base: Preorder, max_n: int | None = None) -> Strict
     each strict completion of ``base`` attains the minimum."""
     from .completions import enumerate_completions, enumerate_total_preorders
 
+    _check_arguments(base)
     limit = guard(MAX_STRICT_OPT_N, max_n, base.n, "strict-optimality sweep")
     best: int | None = None
     attaining: list[TotalPreorder] = []

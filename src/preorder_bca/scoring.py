@@ -9,8 +9,9 @@ exact identities, so they are ``fractions.Fraction`` values, not floats;
 
 from __future__ import annotations
 
-from .core import Mask, Preorder, Quotient, down_set, iter_bits, to_total
-from .errors import BadParameter, EmptySequence
+from .core import (Mask, Preorder, Quotient, _check_arguments, down_set, iter_bits,
+                   to_total)
+from .errors import BadParameter
 
 
 def score(p: Preorder, x: int) -> int:
@@ -40,6 +41,7 @@ def index_total(p: Preorder) -> int:
 
 def index_general(p: Preorder, max_classes: int | None = None) -> int:
     """Index of an arbitrary preorder: the largest index of any completion."""
+    _check_arguments(p)
     return class_index(p.quotient, (1 << len(p.quotient.classes)) - 1,
                        max_classes)[0]
 
@@ -88,7 +90,7 @@ def layer_composition(sizes):
     if not isinstance(sizes, (tuple, list)):
         raise BadParameter(f"layer sizes must be a list or tuple, got {sizes!r}")
     if not sizes:
-        raise EmptySequence("need at least one layer size")
+        raise BadParameter("need at least one layer size")
     total = Fraction(0)
     prefix = 0
     for size in sizes:

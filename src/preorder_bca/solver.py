@@ -108,6 +108,7 @@ def bca_bruteforce(base: Preorder, max_n: int | None = None) -> ApproximationRep
     blocks above it (the definitional sweep would add an exponential
     factor); the equivalence of the two is covered by its own test battery.
     """
+    _check_arguments(base)
     guard(MAX_BRUTEFORCE_N, max_n, base.n, "brute-force sweep")
     distance, argmin_blocks = _backend.sweep_min_distance(base.n, base.strict_up)
     cands = [TotalPreorder(base.ground, blocks) for blocks in argmin_blocks]
@@ -127,6 +128,7 @@ def bca_duality(base: Preorder, max_classes: int | None = None) -> Approximation
     completion can attain the maximum: only the maximal completions are
     priced (:func:`scoring.class_index`), and only the ties are expanded.
     """
+    _check_arguments(base)
     q = base.quotient
     best, ties = class_index(q, (1 << len(q.classes)) - 1, max_classes)
     ordered = _sorted_candidates([
@@ -227,7 +229,7 @@ class CoveringRadiusReport:
 def covering_radius(ground: GroundSet, max_n: int | None = None) -> CoveringRadiusReport:
     """Largest best-approximation distance over every preorder on ``ground``,
     with the first preorder attaining it."""
-    _check_arguments(ground)
+    _check_arguments(ground, GroundSet)
     guard(MAX_COVERING_N, max_n, ground.n, "covering radius sweep")
     best = -1
     for rows in _preorder_rows(ground.n):

@@ -22,7 +22,7 @@ from preorder_bca import (
 )
 from preorder_bca.completions import MAX_COMPLETION_CLASSES
 from preorder_bca.core import class_label, iter_bits
-from preorder_bca.errors import EmptySubset, TooLarge
+from preorder_bca.errors import BadParameter, TooLarge
 from preorder_bca.scoring import index_total
 from preorder_bca.solver import (
     FAILS,
@@ -38,7 +38,7 @@ from preorder_bca.solver import (
 def restrict(p: Preorder, members: int) -> Preorder:
     """Restriction of ``p`` to ``members``; labels are preserved."""
     if members == 0:
-        raise EmptySubset("cannot restrict to the empty set")
+        raise BadParameter("cannot restrict to the empty set")
     keep = tuple(iter_bits(members))
     ground = GroundSet(tuple(p.ground.labels[i] for i in keep))
     rows = []

@@ -94,6 +94,11 @@ def test_bca_guard_exit_code(capsys):
                            fixture("ex6_fence"), "--method", "bruteforce")
     assert code == 4
     assert "guard" in err
+    # a negative override is a bad argument, not a refusal
+    code, _, err = run_cli(capsys, "--max-n", "-1", "bca", fixture("chain3"),
+                           "--method", "bruteforce")
+    assert code == 2
+    assert err == "error: guard override must be a nonnegative integer, got -1\n"
 
 
 def test_bca_auto_refusal_is_the_completion_guard(tmp_path, capsys):

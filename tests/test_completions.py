@@ -6,7 +6,6 @@ import worked_examples as wx
 from preorder_bca import (
     BadParameter,
     GroundSet,
-    NotACompletion,
     Preorder,
     TooLarge,
     canonical_completion,
@@ -209,7 +208,8 @@ def test_is_maximal_completion_rejects_non_completions():
     # a linear order is a completion of equality, so use a broken base instead
     chain = spec("chain", n=2).build()
     flipped = wx.total(("x1", "x2"), ("x2",), ("x1",))
-    with pytest.raises(NotACompletion):
+    with pytest.raises(BadParameter,
+                       match="^candidate does not complete the base relation$"):
         is_maximal_completion(flipped, chain)
     assert is_maximal_completion(to_total(spec("indifferent", n=2).build()), eq)
     assert not is_maximal_completion(not_completion, eq)

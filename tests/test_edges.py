@@ -107,9 +107,9 @@ _GUARDED = {
 @pytest.mark.parametrize("name", sorted(_GUARDED))
 def test_guard_override_must_be_an_integer(name):
     base = spec("equality", n=2).build()
-    for value in ("9", True, 4.0):
-        with pytest.raises(BadParameter, match="^guard override must be an "
-                                               "integer, got "):
+    for value in ("9", True, 4.0, -1):
+        with pytest.raises(BadParameter, match="^guard override must be a "
+                                               "nonnegative integer, got "):
             _GUARDED[name](base, value)
     _GUARDED[name](base, 4)  # an int override is honoured
 

@@ -1,16 +1,20 @@
-"""No module of the package or of its tests imports a name it never reads.
+"""No module of the package or of its tests imports a name it never reads,
+and the package raises every error class it exports.
 
-No linter is a dependency, so the check is the stdlib ``ast``: every name an
-import binds must be read somewhere in its module, or listed in an
-``__all__``; ``__future__`` features are exempt.
+No linter is a dependency, so the checks are the stdlib ``ast``: every name
+an import binds must be read somewhere in its module, or listed in an
+``__all__``; ``__future__`` features are exempt.  Every exported error class
+but the catch-all ``PreorderBcaError`` must appear in a ``raise`` statement.
 """
 
 import ast
 import pathlib
 
+import preorder_bca
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src" / "preorder_bca").glob("*.py"),
-                  *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "preorder_bca").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,3 +47,27 @@ def test_no_module_imports_a_name_it_never_reads():
     unused = {str(path.relative_to(ROOT)): names for path in MODULES
               if (names := unused_imports(path.read_text(encoding="utf-8")))}
     assert unused == {}
+
+
+def raised_names(source: str) -> set[str]:
+    """The names ``source`` raises, as ``raise X`` or ``raise X(...)``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_the_scan_finds_raised_names():
+    source = ("raise A\nraise B('x')\nraise c.D()\n"
+              "try:\n    pass\nexcept E:\n    raise\n")
+    assert raised_names(source) == {"A", "B"}
+
+
+def test_every_exported_error_class_is_raised():
+    raised = set().union(*(raised_names(path.read_text(encoding="utf-8"))
+                           for path in PACKAGE))
+    exported = set(preorder_bca._EXPORTS["errors"]) - {"PreorderBcaError"}
+    assert exported - raised == set()

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 import worked_examples as wx
 from preorder_bca import (
     BadParameter,
-    EmptySequence,
     GroundSet,
     enumerate_completions,
     enumerate_preorders,
@@ -117,7 +116,7 @@ def test_normalized_index_examples():
 def test_f_examples():
     assert layer_composition([5]) == 5
     assert layer_composition([1, 1, 1]) == Fraction(7, 2**2)
-    with pytest.raises(EmptySequence):
+    with pytest.raises(BadParameter, match="^need at least one layer size$"):
         layer_composition([])
     for sizes in ([-1, 1], [1.5], [2, 0], [True]):
         with pytest.raises(BadParameter, match="positive integers"):
