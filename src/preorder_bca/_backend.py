@@ -15,19 +15,8 @@ the blocks above x's block, so the closed form splits per element:
     w(x, A) = 2^(n-|A|-1) - 2^(n-|up(x) ∪ A|).
 
 A block's cost is the sum of its members' weights, which depend only on the
-block and on what lies above it.  The argmin sweep prices blocks that way.
-An element ``y`` left alone in the last block has all n-1 others in ``A``,
-and ``up(y)`` lies inside ``A``, so ``w(y, A) = 2^0 - 2^1 = -1``.  When two
-elements ``a`` and ``b`` are left, ``|A| = n-2`` and ``w(a, A)`` is 0 if ``b``
-is strictly above ``a`` and -2 otherwise.  With ``c`` the cost of the blocks
-above them, their three leaves cost:
-
-    neither strictly above the other:  a over b  c-3,  b over a  c-3,  {a, b}  c-4
-    b strictly above a:                a over b  c-1,  b over a  c-3,  {a, b}  c-2
-
-(and symmetrically when a is strictly above b).  One leaf is always strictly
-cheaper than the other two, so the sweep prices only that leaf: the two
-dearer ones can never tie with the minimum.
+block and on what lies above it.  The argmin sweep prices blocks that way;
+its docstring gives the costs of the leaves it prices without recursing.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ Subcommands wrap the library operations one-for-one:
 
 Exit codes are a stable contract: 0 success, 2 semantic error (violations,
 mismatched labels, bad parameters), 3 I/O or parse error, 4 feasibility
-guard.  Output is deterministic ASCII; pass --unicode for relation glyphs.
+guard.  Output is deterministic UTF-8: labels pass through unchanged, and
+--unicode selects relation glyphs.
 No color is ever emitted, so NO_COLOR is honored trivially.
 
 Each command imports the solver-side modules it calls when it runs, so a
@@ -85,8 +86,8 @@ def _render_report(report: ApproximationReport, args, verdict: str | None) -> st
         lines.append("note: canonical completion is a member; the tie set "
                       "may be larger")
     lines.append("candidates:")
-    for cand, index in zip(report.bca_set, report.indices):
-        lines.append(f"  {cand.render(_strict_sep(args))}  (index {index})")
+    for cand in report.bca_set:
+        lines.append(f"  {cand.render(_strict_sep(args))}  (index {report.index})")
     return "\n".join(lines) + "\n"
 
 
@@ -97,7 +98,7 @@ def _report_json(report: ApproximationReport, verdict: str | None) -> str:
         "distance": report.distance,
         "complete_set": report.complete_set,
         "condition_star": verdict,
-        "indices": [str(i) for i in report.indices],
+        "indices": [str(report.index)] * len(report.bca_set),
         "candidates": [
             document_payload(document_from_relation(c)) for c in report.bca_set
         ],
@@ -219,11 +220,10 @@ def _random_preorder(n: int, density: float, seed: int) -> Preorder:
 
 
 def cmd_generate(args) -> int:
-    if args.n is not None:
-        _ground_size(args.n)
     if args.family == "random":
         if args.n is None:
             raise BadParameter("random family needs --n")
+        _ground_size(args.n)
         if not 0 <= args.density <= 1:
             raise BadParameter(f"--density must be in [0, 1], got {args.density}")
         if args.expected_bca:
@@ -355,6 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # labels and --unicode glyphs are written as UTF-8 whatever the locale;
+    # a stream without ``reconfigure`` (an io.StringIO) is left as it is
+    for stream in (sys.stdout, sys.stderr):
+        if hasattr(stream, "reconfigure"):
+            stream.reconfigure(encoding="utf-8", errors=stream.errors)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

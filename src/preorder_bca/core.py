@@ -165,36 +165,26 @@ class Preorder(Relation):
             raise ViolationError(w)
 
     @lazy
-    def cols(self) -> tuple[Mask, ...]:
-        return _columns(self.rows)
-
-    @lazy
     def strict_up(self) -> tuple[Mask, ...]:
-        # cols if some route has filled them, else columns of its own, so
-        # that a solve reading only strict_up keeps no cols
-        try:
-            cols = object.__getattribute__(self, "cols")  # never fills the slot
-        except AttributeError:
-            cols = _columns(self.rows)
-        return _strict_up(self.rows, cols)
+        return _strict_up(self.rows)
 
     @lazy
     def strict_down(self) -> tuple[Mask, ...]:
-        # strict_down[x] = {a : x > a}
-        return tuple(self.rows[x] & ~self.cols[x] for x in range(self.n))
+        # strict_down[x] = {a : x > a}: x's row less its column {a : a >= x}
+        rows = self.rows
+        return tuple(mask_of(a for a in iter_bits(row) if not (rows[a] >> x) & 1)
+                     for x, row in enumerate(rows))
 
     @lazy
     def quotient(self) -> Quotient:
         # x heads its class when no member of the class has a smaller index
-        rows, cols = self.rows, self.cols
-        sym = [col & row for row, col in zip(rows, cols)]
+        sym = [row & ~down for row, down in zip(self.rows, self.strict_down)]
         reps = [x for x in range(self.n) if not sym[x] & ((1 << x) - 1)]
         classes = tuple(sym[x] for x in reps)
-        # the classes meeting each head's strict up-set, then its down-set;
-        # the up-sets come from cols, which self.strict_up may not read
+        # the classes meeting each head's strict up-set, then its down-set
         up, down = (tuple(mask_of(c for c, m in enumerate(classes) if m & strict[x])
                           for x in reps)
-                    for strict in (_strict_up(rows, cols), self.strict_down))
+                    for strict in (self.strict_up, self.strict_down))
         layers, remaining = [], (1 << len(classes)) - 1
         while remaining:
             layers.append(mask_of(c for c in iter_bits(remaining) if not up[c] & remaining))
@@ -203,8 +193,8 @@ class Preorder(Relation):
                         tuple(layers))
 
 
-def _columns(rows) -> tuple[Mask, ...]:
-    """cols[j] = weak up-set of j = {i : x_i >= x_j}."""
+def _strict_up(rows) -> tuple[Mask, ...]:
+    """strict_up[x] = {a : a > x}: x's column {a : a >= x} less its row."""
     cols = [0] * len(rows)
     for i, row in enumerate(rows):
         bit = 1 << i
@@ -212,11 +202,6 @@ def _columns(rows) -> tuple[Mask, ...]:
             low = row & -row
             cols[low.bit_length() - 1] |= bit
             row ^= low
-    return tuple(cols)
-
-
-def _strict_up(rows, cols) -> tuple[Mask, ...]:
-    """strict_up[x] = {a : a > x}, from the rows and their columns."""
     return tuple(col & ~row for row, col in zip(rows, cols))
 
 
@@ -337,7 +322,7 @@ def layers(p: Preorder) -> tuple[Mask, ...]:
 def incomparable_witness(p: Preorder) -> tuple[int, int] | None:
     _check_arguments(p)
     for i in range(p.n):
-        undominated = p.ground.full_mask & ~(p.rows[i] | p.cols[i])
+        undominated = p.ground.full_mask & ~(p.rows[i] | p.strict_up[i])
         if undominated:
             j = (undominated & -undominated).bit_length() - 1
             return (i, j)
@@ -366,7 +351,7 @@ def is_completion(cand: Preorder, base: Preorder) -> bool:
     for i in range(base.n):
         if base.rows[i] & ~cand.rows[i]:
             return False
-        if base.strict_down[i] & cand.cols[i]:
+        if base.strict_down[i] & ~cand.strict_down[i]:
             return False
     return True
 

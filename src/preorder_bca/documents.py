@@ -8,7 +8,8 @@ two-space indent, trailing newline.
 Every check on a document's values lives in the :class:`RelationDocument`
 constructor, so JSON text and library callers meet the same checks with the
 same messages; :func:`parse_document` checks only the JSON shape (an object
-with the required fields, and lists where lists are due).
+with the required fields, and lists where lists are due) and the ``schema``
+string, which a document does not keep: it has one legal value.
 """
 
 from __future__ import annotations
@@ -54,13 +55,8 @@ class RelationDocument:
     pairs: tuple[tuple[int, int], ...]
     reflexive_closure: bool = True
     transitive_closure: bool = True
-    schema: str = SCHEMA
 
     def __post_init__(self):
-        if not isinstance(self.schema, str):
-            raise DocumentError(f"schema must be a string, got {_short(self.schema)}")
-        if self.schema != SCHEMA:
-            raise DocumentError(f"unsupported schema: {_short(self.schema)}")
         for name, value in (("labels", self.labels), ("pairs", self.pairs)):
             if not isinstance(value, (tuple, list)):
                 raise DocumentError(f"{name} must be a list or tuple, got {_short(value)}")
@@ -118,12 +114,15 @@ def parse_document(text: str) -> RelationDocument:
         if not _is_pair(pair, list):
             raise DocumentError(f"bad pair entry: {_short(pair)}")
         norm_pairs.append((pair[0], pair[1]))
+    if not isinstance(schema, str):
+        raise DocumentError(f"schema must be a string, got {_short(schema)}")
+    if schema != SCHEMA:
+        raise DocumentError(f"unsupported schema: {_short(schema)}")
     return RelationDocument(
         labels=tuple(labels),
         pairs=tuple(norm_pairs),
         reflexive_closure=raw.get("reflexive_closure", False),
         transitive_closure=raw.get("transitive_closure", False),
-        schema=schema,
     )
 
 
@@ -131,7 +130,7 @@ def document_payload(doc: RelationDocument) -> dict:
     """The document as the JSON object it is written as."""
     _check_arguments(doc, RelationDocument, DocumentError)
     return {
-        "schema": doc.schema,
+        "schema": SCHEMA,
         "labels": list(doc.labels),
         "pairs": [list(p) for p in doc.pairs],
         "reflexive_closure": doc.reflexive_closure,

@@ -33,13 +33,12 @@ from .core import (
     Preorder,
     TotalPreorder,
     _check_arguments,
-    _columns,
     _strict_up,
     guard,
     iter_bits,
     layers,
 )
-from .completions import _preorder_rows, canonical_completion
+from .completions import _preorder_rows
 from .errors import TooLarge
 from .metrics import top_difference_fast
 from .scoring import class_index, index_total
@@ -55,13 +54,13 @@ FAILS = "fails"
 
 @record
 class ApproximationReport:
-    """Solver output: the tie set, its common distance, per-candidate indices,
-    the route that produced it, and the condition (*) report the route read
+    """Solver output: the tie set, its common distance and common index, the
+    route that produced it, and the condition (*) report the route read
     (None when it checked no condition (*) or the check's guard refused)."""
 
     bca_set: tuple[TotalPreorder, ...]
     distance: int
-    indices: tuple[int, ...]
+    index: int
     method: str
     condition_star: ConditionStarReport | None = None
 
@@ -96,8 +95,16 @@ class ConditionStarReport:
     witnesses: tuple[ConditionStarWitness, ...]
 
 
-def _sorted_candidates(cands: list[TotalPreorder]) -> tuple[TotalPreorder, ...]:
-    return tuple(sorted(cands, key=lambda c: c.blocks))
+def _report(base: Preorder, ties, method: str, distance: int | None = None,
+            star: ConditionStarReport | None = None) -> ApproximationReport:
+    """A route's report on its tie set, given as element block tuples: the
+    members sorted by blocks, the route's distance or else the closed form of
+    the first member, and the index all members share."""
+    bca_set = tuple(TotalPreorder(base.ground, blocks) for blocks in sorted(ties))
+    first = bca_set[0]
+    if distance is None:
+        distance = top_difference_fast(base, first)
+    return ApproximationReport(bca_set, distance, index_total(first), method, star)
 
 
 def bca_bruteforce(base: Preorder, max_n: int | None = None) -> ApproximationReport:
@@ -110,15 +117,8 @@ def bca_bruteforce(base: Preorder, max_n: int | None = None) -> ApproximationRep
     """
     _check_arguments(base)
     guard(MAX_BRUTEFORCE_N, max_n, base.n, "brute-force sweep")
-    distance, argmin_blocks = _backend.sweep_min_distance(base.n, base.strict_up)
-    cands = [TotalPreorder(base.ground, blocks) for blocks in argmin_blocks]
-    ordered = _sorted_candidates(cands)
-    return ApproximationReport(
-        bca_set=ordered,
-        distance=distance,
-        indices=tuple(index_total(c) for c in ordered),
-        method="bruteforce",
-    )
+    distance, ties = _backend.sweep_min_distance(base.n, base.strict_up)
+    return _report(base, ties, "bruteforce", distance)
 
 
 def bca_duality(base: Preorder, max_classes: int | None = None) -> ApproximationReport:
@@ -130,16 +130,9 @@ def bca_duality(base: Preorder, max_classes: int | None = None) -> Approximation
     """
     _check_arguments(base)
     q = base.quotient
-    best, ties = class_index(q, (1 << len(q.classes)) - 1, max_classes)
-    ordered = _sorted_candidates([
-        TotalPreorder(base.ground, tuple(q.expand(b) for b in blocks))
-        for blocks in ties])
-    return ApproximationReport(
-        bca_set=ordered,
-        distance=top_difference_fast(base, ordered[0]),
-        indices=(best,) * len(ordered),
-        method="duality",
-    )
+    _, ties = class_index(q, (1 << len(q.classes)) - 1, max_classes)
+    return _report(base, [tuple(q.expand(b) for b in blocks) for blocks in ties],
+                   "duality")
 
 
 def condition_star(base: Preorder, max_layer: int | None = None) -> ConditionStarReport:
@@ -181,14 +174,6 @@ def condition_star(base: Preorder, max_layer: int | None = None) -> ConditionSta
     return ConditionStarReport(verdict, tuple(witnesses))
 
 
-def _canonical_report(base: Preorder, star: ConditionStarReport
-                      ) -> ApproximationReport:
-    canonical = canonical_completion(base)
-    return ApproximationReport(
-        (canonical,), top_difference_fast(base, canonical),
-        (index_total(canonical),), "theorem5", star)
-
-
 def bca_theorem5(base: Preorder, max_layer: int | None = None
                  ) -> ApproximationReport | None:
     """Canonical-completion fast path.
@@ -201,7 +186,7 @@ def bca_theorem5(base: Preorder, max_layer: int | None = None
     star = condition_star(base, max_layer=max_layer)
     if star.verdict == FAILS:
         return None
-    return _canonical_report(base, star)
+    return _report(base, [layers(base)], "theorem5", star=star)
 
 
 def bca_auto(base: Preorder) -> ApproximationReport:
@@ -214,9 +199,9 @@ def bca_auto(base: Preorder) -> ApproximationReport:
     except TooLarge:
         star = None
     if star is not None and star.verdict == STRICT:
-        return _canonical_report(base, star)
+        return _report(base, [layers(base)], "theorem5", star=star)
     report = bca_duality(base)
-    return ApproximationReport(report.bca_set, report.distance, report.indices,
+    return ApproximationReport(report.bca_set, report.distance, report.index,
                                report.method, star)
 
 
@@ -233,7 +218,7 @@ def covering_radius(ground: GroundSet, max_n: int | None = None) -> CoveringRadi
     guard(MAX_COVERING_N, max_n, ground.n, "covering radius sweep")
     best = -1
     for rows in _preorder_rows(ground.n):
-        distance, _ = _backend.sweep_min_distance(ground.n, _strict_up(rows, _columns(rows)))
+        distance, _ = _backend.sweep_min_distance(ground.n, _strict_up(rows))
         if distance > best:
             best, witness = distance, rows
     return CoveringRadiusReport(best, Preorder(ground, witness))

@@ -52,13 +52,14 @@ def restrict(p: Preorder, members: int) -> Preorder:
 
 
 def indifference_classes(p: Preorder) -> tuple[int, ...]:
-    """Symmetric-part equivalence classes, ordered by smallest member."""
+    """Symmetric-part equivalence classes, from a ``holds`` loop, ordered by
+    smallest member."""
     seen = 0
     classes = []
     for i in range(p.n):
         if (seen >> i) & 1:
             continue
-        cls = p.rows[i] & p.cols[i]
+        cls = sum(1 << j for j in range(p.n) if p.holds(i, j) and p.holds(j, i))
         classes.append(cls)
         seen |= cls
     return tuple(classes)
@@ -192,6 +193,6 @@ def bca_duality(base: Preorder) -> ApproximationReport:
     return ApproximationReport(
         bca_set=ordered,
         distance=top_difference_fast(base, ordered[0]),
-        indices=tuple(best for _ in ordered),
+        index=best,
         method="duality",
     )

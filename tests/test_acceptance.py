@@ -14,7 +14,6 @@ from fractions import Fraction
 import worked_examples as wx
 from preorder_bca import (
     GroundSet,
-    Preorder,
     bca_bruteforce,
     bca_duality,
     canonical_completion,
@@ -219,7 +218,7 @@ def test_criterion_6_condition_star_verdicts():
     # same arithmetic as Example 5), so the condition is not satisfied, and
     # the canonical completion is still the unique brute-force answer
     word = spec("word_prefix", alphabet=2, k=2).build()
-    rev = Preorder(word.ground, word.cols)
+    rev = wx.converse(word)
     rev_report = condition_star(rev)
     assert rev_report.verdict == "weak"
     assert rev_report.witnesses

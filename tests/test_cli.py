@@ -321,6 +321,12 @@ def test_generate_random_rejects_n_out_of_range(capsys):
         assert err.startswith("error:")
 
 
+def test_generate_family_n_is_checked_by_the_family(capsys):
+    code, out, err = run_cli(capsys, "generate", "chain", "--n", "65")
+    assert (code, out) == (2, "")
+    assert err == "error: chain parameter n must be in 1..64, got 65\n"
+
+
 def test_covering_radius_rejects_n_out_of_range(capsys):
     for n in ("0", "65"):
         code, _, err = run_cli(capsys, "covering-radius", "--n", n)
@@ -346,10 +352,10 @@ def test_bca_theorem5_honours_max_n(capsys):
 
 
 def test_bca_computes_condition_star_once(tmp_path, capsys, monkeypatch):
-    from preorder_bca import completions, solver
+    from preorder_bca import solver
 
     calls = []
-    canonical_calls = []
+    reports = []
 
     def counting(real, log):
         def counted(*args, **kwargs):
@@ -361,9 +367,8 @@ def test_bca_computes_condition_star_once(tmp_path, capsys, monkeypatch):
     counted = counting(solver.condition_star, calls)
     monkeypatch.setattr(solver, "condition_star", counted)
     monkeypatch.setattr(cli, "condition_star", counted, raising=False)
-    canonical = counting(completions.canonical_completion, canonical_calls)
-    monkeypatch.setattr(solver, "canonical_completion", canonical)
-    monkeypatch.setattr(completions, "canonical_completion", canonical)
+    # every route builds its report through this one helper: (base, ties, method...)
+    monkeypatch.setattr(solver, "_report", counting(solver._report, reports))
     for method in ("auto", "theorem5"):
         calls.clear()
         code, _, _ = run_cli(capsys, "bca", fixture("ex5_base"), "--method", method)
@@ -371,9 +376,9 @@ def test_bca_computes_condition_star_once(tmp_path, capsys, monkeypatch):
         assert len(calls) == 1, method
     # ex5's verdict is weak: auto answers by duality and builds no canonical
     # completion it would discard
-    canonical_calls.clear()
+    reports.clear()
     code, _, _ = run_cli(capsys, "bca", fixture("ex5_base"))
-    assert (code, len(canonical_calls)) == (0, 0)
+    assert (code, [args[2] for args in reports]) == (0, ["duality"])
     # a refusal of condition (*)'s guard is not retried
     code, out, _ = run_cli(capsys, "generate", "containment", "--z", "5")
     doc = tmp_path / "containment5.json"
@@ -417,13 +422,27 @@ def _doc_text(**fields):
     return json.dumps(doc)
 
 
-def run_process(*argv):
-    """Run the CLI in a fresh process, as a user does."""
+def run_process(*argv, env=None, text=True):
+    """Run the CLI in a fresh process, as a user does, with ``env`` added to
+    its environment."""
     src = str(pathlib.Path(preorder_bca.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "preorder_bca.cli", *argv],
-                          env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True)
+                          env={**os.environ, "PYTHONPATH": path, **(env or {})},
+                          capture_output=True, text=text)
+
+
+def test_output_is_utf8_whatever_the_locale(tmp_path, capsys):
+    # labels and --unicode glyphs are written as UTF-8, not as a traceback
+    doc = tmp_path / "accent.json"
+    doc.write_text(_doc_text(labels=["é", "b"], pairs=[[0, 1]], reflexive_closure=True))
+    for argv, shown in ((("canonical", str(doc)), "[é] > [b]\n"),
+                        (("--unicode", "bca", fixture("ex2_base")), " ≻ ")):
+        _, out, _ = run_cli(capsys, *argv)
+        assert shown in out
+        proc = run_process(*argv, env={"PYTHONIOENCODING": "ascii"}, text=False)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == out.encode("utf-8")
 
 
 @pytest.mark.parametrize("text, message", [

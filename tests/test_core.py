@@ -15,6 +15,7 @@ from preorder_bca import (
     ViolationError,
     down_set,
     enumerate_preorders,
+    enumerate_total_preorders,
     incomparable_witness,
     is_completion,
     is_total,
@@ -135,6 +136,29 @@ def test_asymmetric_and_symmetric_parts():
     indiff = spec("indifferent", n=3).build()
     assert indiff.strict_down == (0, 0, 0)
     assert indiff.quotient.classes == (0b111,)
+
+
+def test_derived_views_match_their_definitions():
+    # every preorder and every total preorder with n <= 4, each view against
+    # a plain pair loop over ``holds``
+    count = 0
+    for n in range(1, 5):
+        ground = GroundSet(tuple(f"x{i}" for i in range(n)))
+        for p in (*enumerate_preorders(ground), *enumerate_total_preorders(ground)):
+            ge = [[p.holds(a, b) for b in range(n)] for a in range(n)]
+            assert p.strict_up == tuple(
+                mask_of(a for a in range(n) if ge[a][x] and not ge[x][a]) for x in range(n))
+            assert p.strict_down == tuple(
+                mask_of(a for a in range(n) if ge[x][a] and not ge[a][x]) for x in range(n))
+            # classes by smallest member
+            assert p.quotient.classes == tuple(
+                mask_of(a for a in range(n) if ge[x][a] and ge[a][x]) for x in range(n)
+                if not any(ge[x][a] and ge[a][x] for a in range(x)))
+            assert incomparable_witness(p) == next(
+                ((x, a) for x in range(n) for a in range(n)
+                 if not ge[x][a] and not ge[a][x]), None)
+            count += 1
+    assert count == (1 + 4 + 29 + 355) + (1 + 3 + 13 + 75)
 
 
 def test_restrict_chain_and_identity():

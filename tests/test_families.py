@@ -140,13 +140,13 @@ def test_reversed_word_order_sufficiency_not_necessity():
     # canonical completion wins by brute force although the layer condition
     # does not hold strictly (the k = 1 alphabet-2 case is the only strict one)
     word = spec("word_prefix", alphabet=2, k=2).build()
-    rev = Preorder(word.ground, word.cols)
+    rev = wx.converse(word)
     assert condition_star(rev).verdict == "weak"
     report = bca_bruteforce(rev)
     assert report.bca_set == (canonical_completion(rev),)
 
     word = spec("word_prefix", alphabet=2, k=1).build()
-    assert condition_star(Preorder(word.ground, word.cols)).verdict == "strict"
+    assert condition_star(wx.converse(word)).verdict == "strict"
 
 
 def test_canonical_matches_closed_forms():

@@ -1,14 +1,18 @@
 """No module of the package or of its tests imports a name it never reads,
-and the package raises every error class it exports.
+the package reads every private name it defines, and it raises every error
+class it exports.
 
 No linter is a dependency, so the checks are the stdlib ``ast``: every name
 an import binds must be read somewhere in its module, or listed in an
-``__all__``; ``__future__`` features are exempt.  Every exported error class
-but the catch-all ``PreorderBcaError`` must appear in a ``raise`` statement.
+``__all__``; ``__future__`` features are exempt.  Every private top-level
+name of the package (``_x``, not a dunder) must be read somewhere in the
+package outside its own definition.  Every exported error class but the
+catch-all ``PreorderBcaError`` must appear in a ``raise`` statement.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 import preorder_bca
 
@@ -47,6 +51,49 @@ def test_no_module_imports_a_name_it_never_reads():
     unused = {str(path.relative_to(ROOT)): names for path in MODULES
               if (names := unused_imports(path.read_text(encoding="utf-8")))}
     assert unused == {}
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """How often ``tree`` reads each name, bare or as an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute))
+                   and isinstance(node.ctx, ast.Load))
+
+
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function, a class, or the
+    plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for target in targets for t in ast.walk(target)
+            if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)]
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """The private top-level names defined in ``sources`` (one package's
+    modules) that no module reads outside the name's own definition."""
+    trees = [ast.parse(source) for source in sources]
+    reads = sum((_reads(tree) for tree in trees), Counter())
+    return [name for tree in trees for node in tree.body
+            for name in _defined_names(node)
+            if name.startswith("_") and not name.startswith("__")
+            and reads[name] == _reads(node)[name]]
+
+
+def test_the_check_finds_an_unread_private_name():
+    sources = ["def _used():\n    return 1\n\n"
+               "def _dead(n):\n    return _dead(n - 1)\n\n"
+               "_TABLE, __all__ = {}, []\n",
+               "from m import _used\nimport m\nm._used(_used())\n"]
+    assert unread_private_names(sources) == ["_dead", "_TABLE"]
+
+
+def test_the_package_reads_every_private_name_it_defines():
+    sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
+    assert unread_private_names(sources) == []
 
 
 def raised_names(source: str) -> set[str]:

@@ -25,6 +25,7 @@ from preorder_bca import (
     Relation,
     RelationDocument,
     ViolationError,
+    parse_document,
     to_total,
 )
 from preorder_bca.cli import build_parser
@@ -179,16 +180,17 @@ def test_preorder_record_semantics():
 def test_relation_document_record_semantics():
     doc = RelationDocument(labels=("a", "b"), pairs=((0, 1),))
     assert doc.reflexive_closure and doc.transitive_closure
-    assert doc.schema == "preorder-doc/1"
-    same = RelationDocument(("a", "b"), ((0, 1),), True, True, "preorder-doc/1")
+    same = RelationDocument(("a", "b"), ((0, 1),), True, True)
     assert doc == same and hash(doc) == hash(same)
     assert doc != RelationDocument(("a", "b"), ((0, 1),), transitive_closure=False)
     assert repr(doc) == (
         "RelationDocument(labels=('a', 'b'), pairs=((0, 1),), "
-        "reflexive_closure=True, transitive_closure=True, "
-        "schema='preorder-doc/1')")
-    with pytest.raises(DocumentError):
-        RelationDocument(labels=("a",), pairs=(), schema="preorder-doc/2")
+        "reflexive_closure=True, transitive_closure=True)")
+    # the schema is checked where it is read, in the JSON text
+    with pytest.raises(DocumentError, match="unsupported schema: 'preorder-doc/2'"):
+        parse_document('{"schema": "preorder-doc/2", "labels": ["a"], "pairs": []}')
+    with pytest.raises(TypeError):
+        RelationDocument(labels=("a",), pairs=(), schema="preorder-doc/1")
     with pytest.raises(TypeError):
         RelationDocument(labels=("a",), pairs=(), colour="red")
     with pytest.raises(AttributeError):
@@ -198,24 +200,24 @@ def test_relation_document_record_semantics():
 def test_approximation_report_record_semantics():
     ground, p = _pair()
     total = to_total(p)
-    report = ApproximationReport(bca_set=(total,), distance=3, indices=(12,),
+    report = ApproximationReport(bca_set=(total,), distance=3, index=12,
                                  method="duality")
     assert report.condition_star is None and report.complete_set is True
     weak = ConditionStarReport("weak", ())
-    assert report == ApproximationReport((total,), 3, (12,), "duality", None)
-    assert report != ApproximationReport((total,), 3, (12,), "duality", weak)
-    assert len({report, ApproximationReport((total,), 3, (12,), "duality")}) == 1
+    assert report == ApproximationReport((total,), 3, 12, "duality", None)
+    assert report != ApproximationReport((total,), 3, 12, "duality", weak)
+    assert len({report, ApproximationReport((total,), 3, 12, "duality")}) == 1
     # complete_set is derived: False only for theorem 5 under a weak verdict
-    assert ApproximationReport((total,), 3, (12,), "duality", weak).complete_set
-    assert not ApproximationReport((total,), 3, (12,), "theorem5", weak).complete_set
+    assert ApproximationReport((total,), 3, 12, "duality", weak).complete_set
+    assert not ApproximationReport((total,), 3, 12, "theorem5", weak).complete_set
     assert repr(report) == (
         "ApproximationReport(bca_set=(TotalPreorder(ground=GroundSet("
-        "labels=('a', 'b')), blocks=(1, 2)),), distance=3, indices=(12,), "
+        "labels=('a', 'b')), blocks=(1, 2)),), distance=3, index=12, "
         "method='duality', condition_star=None)")
     with pytest.raises(AttributeError):
         report.distance = 0
     with pytest.raises(TypeError):
-        ApproximationReport((total,), 3, (12,), "duality", complete_set=True)
+        ApproximationReport((total,), 3, 12, "duality", complete_set=True)
 
 
 def _record_samples():
@@ -242,8 +244,8 @@ def _record_samples():
 
 # the lazy fields of each record class that has some
 LAZY_FIELDS = {
-    "Preorder": ("cols", "strict_up", "strict_down", "quotient"),
-    "TotalPreorder": ("rows", "cols", "strict_up", "strict_down", "quotient"),
+    "Preorder": ("strict_up", "strict_down", "quotient"),
+    "TotalPreorder": ("rows", "strict_up", "strict_down", "quotient"),
 }
 
 
@@ -288,10 +290,12 @@ def test_lazy_fields_are_computed_once():
     p = _record_samples()[2]
     assert p.quotient is p.quotient
     assert p.strict_up is p.strict_up
-    # a brute-force solve reads only strict_up, which leaves cols unfilled
+    # a brute-force solve reads only strict_up: the other lazy fields stay empty
     q = Preorder(p.ground, p.rows)
-    assert q.strict_up == p.strict_up
-    with pytest.raises(AttributeError):
-        object.__getattribute__(q, "cols")
+    preorder_bca.bca_bruteforce(q)
+    assert object.__getattribute__(q, "strict_up") == p.strict_up
+    for name in ("strict_down", "quotient"):
+        with pytest.raises(AttributeError):
+            object.__getattribute__(q, name)
     with pytest.raises(AttributeError, match="no attribute 'quotients'"):
         p.quotients  # noqa: B018

@@ -13,6 +13,7 @@ from preorder_bca import (
     condition_star,
     covering_radius,
     index_general,
+    index_total,
     is_maximal_completion,
     enumerate_preorders,
     top_difference_fast,
@@ -51,7 +52,7 @@ def test_bca_example7():
     report2 = bca_duality(wx.example7_base(2))
     c0, c1 = wx.example7_completions(2)
     assert {c.blocks for c in report2.bca_set} == {c0.blocks, c1.blocks}
-    assert report2.indices == (40, 40)
+    assert report2.index == 40
 
     for k in (3, 4):
         report = bca_duality(wx.example7_base(k))
@@ -62,7 +63,7 @@ def test_bca_example7():
 def test_bca_example8():
     report = bca_duality(wx.example8_base())
     assert [c.blocks for c in report.bca_set] == [wx.example8_named()[1].blocks]
-    assert report.indices == (2**7 + 194,)
+    assert report.index == 2**7 + 194
 
 
 def test_bca_total_base_is_itself():
@@ -101,7 +102,7 @@ def test_duality_equals_bruteforce_random_n5(rng):
         dual = bca_duality(base)
         assert [c.blocks for c in brute.bca_set] == [c.blocks for c in dual.bca_set]
         assert brute.distance == dual.distance
-        assert dual.indices == tuple(index_general(base) for _ in dual.bca_set)
+        assert dual.index == index_general(base)
 
 
 def test_every_bca_member_is_maximal_exhaustive_n3():
@@ -258,9 +259,9 @@ def test_report_invariants(rng):
     for _ in range(10):
         base = random_preorder(rng, 4)
         report = bca_bruteforce(base)
-        assert len(set(report.indices)) == 1
         for cand in report.bca_set:
             assert top_difference_fast(base, cand) == report.distance
+            assert index_total(cand) == report.index
 
 
 def naive_bruteforce(base, candidates):

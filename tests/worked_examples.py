@@ -42,6 +42,13 @@ def closure_preorder(labels, strict_pairs) -> Preorder:
     return validate_preorder(Relation(GroundSet(labels), rows))
 
 
+def converse(p: Preorder) -> Preorder:
+    """The converse order, x >= y iff y >= x in ``p``, by a plain pair loop."""
+    n = p.n
+    rows = tuple(sum(1 << j for j in range(n) if p.holds(j, i)) for i in range(n))
+    return Preorder(p.ground, rows)
+
+
 def total(labels, *blocks) -> TotalPreorder:
     labels = tuple(labels)
     pos = {lab: i for i, lab in enumerate(labels)}
