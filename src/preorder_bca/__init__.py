@@ -24,9 +24,8 @@ _EXPORTS = {
         "layers", "maximal_elements", "to_total", "validate_preorder",
     ),
     "completions": (
-        "CompletionStream", "canonical_completion", "enumerate_completions",
-        "enumerate_preorders", "enumerate_total_preorders",
-        "is_maximal_completion",
+        "canonical_completion", "enumerate_completions", "enumerate_preorders",
+        "enumerate_total_preorders", "is_maximal_completion",
     ),
     "documents": (
         "RelationDocument", "document_from_relation",

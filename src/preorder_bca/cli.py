@@ -220,22 +220,27 @@ def _random_preorder(n: int, density: float, seed: int) -> Preorder:
 
 
 def cmd_generate(args) -> int:
+    params = {name: getattr(args, name) for name in _FAMILY_FLAGS
+              if getattr(args, name) is not None}
     if args.family == "random":
-        if args.n is None:
-            raise BadParameter("random family needs --n")
+        extra = [f"--{name}" for name in params if name != "n"]
+        if extra or args.n is None:
+            raise BadParameter("random family takes --n and --density, got "
+                               f"{', '.join(extra) or 'no --n'}")
         _ground_size(args.n)
-        if not 0 <= args.density <= 1:
-            raise BadParameter(f"--density must be in [0, 1], got {args.density}")
+        density = 0.3 if args.density is None else args.density
+        if not 0 <= density <= 1:
+            raise BadParameter(f"--density must be in [0, 1], got {density}")
         if args.expected_bca:
             raise BadParameter("random family has no closed-form best "
                                "approximation; drop --expected-bca")
-        built = _random_preorder(args.n, args.density, args.seed)
+        built = _random_preorder(args.n, density, args.seed)
     else:
         from .families import FamilySpec
 
-        params = {name: getattr(args, name) for name in _FAMILY_FLAGS
-                  if getattr(args, name) is not None}
         spec = FamilySpec(args.family, params)
+        if args.density is not None:
+            raise BadParameter(f"--density is for the random family, not {args.family}")
         built = spec.build()
     if args.emit == "dot":
         if args.expected_bca:
@@ -265,6 +270,8 @@ def cmd_dot(args) -> int:
 def cmd_covering_radius(args) -> int:
     from .solver import covering_radius
 
+    if args.emit == "dot":
+        raise BadParameter("covering-radius has no diagram to draw: use text or json")
     n = _ground_size(args.n)
     ground = GroundSet(tuple(f"x{i}" for i in range(1, n + 1)))
     report = covering_radius(ground, max_n=args.max_n)
@@ -337,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a family kind (an unknown one lists them), or random")
     for name in _FAMILY_FLAGS:
         p.add_argument(f"--{name}", type=int)
-    p.add_argument("--density", type=float, default=0.3,
-                   help="edge density for the random family")
+    p.add_argument("--density", type=float,
+                   help="edge density for the random family (default 0.3)")
     p.add_argument("--expected-bca", action="store_true", dest="expected_bca",
                    help="also emit the closed-form best approximation")
     p.set_defaults(func=cmd_generate)

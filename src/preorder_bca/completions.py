@@ -2,27 +2,27 @@
 
 Streams are deterministic: ordered set partitions are produced depth-first
 with each block drawn in increasing bitmask order, so two runs over the same
-input yield identical sequences.  Size guards raise :class:`TooLarge` up
-front instead of truncating, since a partial enumeration would silently
-corrupt the brute-force oracles built on top of these streams.
+input yield identical sequences.  A stream checks its arguments and its size
+guard when called, before it returns its one-shot generator, and refuses
+with :class:`TooLarge` rather than truncate: a partial enumeration would
+silently corrupt the brute-force oracles built on these streams.
 
 Completions live on the base's class quotient (``Preorder.quotient``): a
 completion is an ordered partition of the indifference classes in which every
-strict class pair crosses blocks in order.  One recursion over class masks,
-:func:`class_blocks`, serves the three completion streams, the stream of all
-total preorders (the completions of the discrete order) and the index.
+strict class pair crosses blocks in order.  One unguarded recursion over
+class masks, :func:`class_blocks`, serves the three completion streams, the
+stream of all total preorders (the completions of the discrete order) and
+the index argmax, each of which guards its size once.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from ._record import record
 from .core import (
     GroundSet,
     Mask,
     Preorder,
-    Quotient,
     TotalPreorder,
     _check_arguments,
     guard,
@@ -47,14 +47,13 @@ def enumerate_total_preorders(ground: GroundSet,
     """All Fubini(n) total preorders on ``ground``, deterministically: the
     completions of the discrete order, whose classes are its elements."""
     _check_arguments(ground, GroundSet)
-    limit = guard(MAX_TOTAL_ENUM_N, max_n, ground.n, "enumerating total preorders")
-    discrete = Preorder(ground, tuple(1 << i for i in range(ground.n)))
-    for blocks in class_blocks(discrete.quotient, ground.full_mask, "all", limit):
-        yield TotalPreorder(ground, blocks)
+    guard(MAX_TOTAL_ENUM_N, max_n, ground.n, "enumerating total preorders")
+    return (TotalPreorder(ground, blocks)
+            for blocks in class_blocks((0,) * ground.n, ground.full_mask, "all"))
 
 
-@record
-class CompletionStream:
+def enumerate_completions(base: Preorder, which: str = "all",
+                          max_classes: int | None = None) -> Iterator[TotalPreorder]:
     """Deterministic stream of completions of ``base``.
 
     ``which`` selects "all", "maximal" (not properly contained in another
@@ -64,35 +63,22 @@ class CompletionStream:
     when no strict base pair crosses them.  A strict block holds one class:
     the classes a block may draw from are pairwise incomparable.
     """
-
-    base: Preorder
-    which: str = "all"
-    max_classes: int | None = None
-
-    def __post_init__(self):
-        _check_arguments(self.base)
-        if self.which not in ("all", "maximal", "strict"):
-            raise BadParameter(f"unknown completion filter: {self.which!r}")
-
-    def __iter__(self) -> Iterator[TotalPreorder]:
-        q = self.base.quotient
-        for blocks in class_blocks(q, (1 << len(q.classes)) - 1, self.which,
-                                   self.max_classes):
-            yield TotalPreorder(self.base.ground, tuple(q.expand(b) for b in blocks))
+    _check_arguments(base)
+    if which not in ("all", "maximal", "strict"):
+        raise BadParameter(f"unknown completion filter: {which!r}")
+    q = base.quotient
+    k = len(q.classes)
+    guard(MAX_COMPLETION_CLASSES, max_classes, k, "enumerating completions",
+          "indifference classes")
+    return (TotalPreorder(base.ground, tuple(q.expand(b) for b in blocks))
+            for blocks in class_blocks(q.up, (1 << k) - 1, which))
 
 
-def enumerate_completions(base: Preorder, which: str = "all",
-                          max_classes: int | None = None) -> CompletionStream:
-    return CompletionStream(base, which, max_classes)
-
-
-def class_blocks(q: Quotient, classes: Mask, which: str = "all",
-                 max_classes: int | None = None) -> Iterator[tuple[Mask, ...]]:
-    """Completions of ``q`` restricted to the class mask ``classes``, as
-    tuples of class masks, top block first."""
-    guard(MAX_COMPLETION_CLASSES, max_classes, classes.bit_count(),
-          "enumerating completions", "indifference classes")
-    up = q.up
+def class_blocks(up: tuple[Mask, ...], classes: Mask,
+                 which: str) -> Iterator[tuple[Mask, ...]]:
+    """Completions restricted to the class mask ``classes`` of a quotient
+    whose strict up-sets are ``up``, as tuples of class masks, top block
+    first.  Unguarded: each caller guards the classes it asks for."""
     maximal_only = which == "maximal"
     strict_only = which == "strict"
     stack: list[Mask] = []
@@ -108,7 +94,7 @@ def class_blocks(q: Quotient, classes: Mask, which: str = "all",
             if up[c] & remaining == 0:
                 placeable |= 1 << c
         # the block must meet ``required``; strict blocks hold one class
-        # (see CompletionStream)
+        # (see enumerate_completions)
         required = placeable
         if maximal_only and prev:
             required = mask_of(c for c in iter_bits(placeable) if up[c] & prev)
@@ -120,7 +106,7 @@ def class_blocks(q: Quotient, classes: Mask, which: str = "all",
                 stack.pop()
             s = (s - placeable) & placeable
 
-    yield from rec(classes, 0)
+    return rec(classes, 0)
 
 
 def is_maximal_completion(cand: Preorder, base: Preorder) -> bool:
@@ -149,8 +135,7 @@ def enumerate_preorders(ground: GroundSet,
     off-diagonal bit pattern (row 0 least significant) for reproducibility."""
     _check_arguments(ground, GroundSet)
     guard(MAX_PREORDER_ENUM_N, max_n, ground.n, "enumerating preorders")
-    for rows in _preorder_rows(ground.n):
-        yield Preorder(ground, rows)
+    return (Preorder(ground, rows) for rows in _preorder_rows(ground.n))
 
 
 def _preorder_rows(n: int) -> Iterator[tuple[Mask, ...]]:

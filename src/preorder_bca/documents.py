@@ -7,9 +7,9 @@ two-space indent, trailing newline.
 
 Every check on a document's values lives in the :class:`RelationDocument`
 constructor, so JSON text and library callers meet the same checks with the
-same messages; :func:`parse_document` checks only the JSON shape (an object
-with the required fields, and lists where lists are due) and the ``schema``
-string, which a document does not keep: it has one legal value.
+same messages.  :func:`parse_document` checks only the JSON text, that it
+is an object with the three required fields, and the ``schema``, which a
+document does not keep; it turns each ``[i, j]`` list into a tuple.
 """
 
 from __future__ import annotations
@@ -105,25 +105,14 @@ def parse_document(text: str) -> RelationDocument:
         pairs = raw["pairs"]
     except KeyError as exc:
         raise DocumentError(f"missing document field: {exc}") from exc
-    if not isinstance(labels, list):
-        raise DocumentError("labels must be a list of strings")
-    if not isinstance(pairs, list):
-        raise DocumentError("pairs must be a list of [i, j] index pairs")
-    norm_pairs = []
-    for pair in pairs:
-        if not _is_pair(pair, list):
-            raise DocumentError(f"bad pair entry: {_short(pair)}")
-        norm_pairs.append((pair[0], pair[1]))
     if not isinstance(schema, str):
         raise DocumentError(f"schema must be a string, got {_short(schema)}")
     if schema != SCHEMA:
         raise DocumentError(f"unsupported schema: {_short(schema)}")
-    return RelationDocument(
-        labels=tuple(labels),
-        pairs=tuple(norm_pairs),
-        reflexive_closure=raw.get("reflexive_closure", False),
-        transitive_closure=raw.get("transitive_closure", False),
-    )
+    if isinstance(pairs, list):  # JSON pairs are lists; the record's are tuples
+        pairs = [tuple(p) if _is_pair(p, list) else p for p in pairs]
+    return RelationDocument(labels, pairs, raw.get("reflexive_closure", False),
+                            raw.get("transitive_closure", False))
 
 
 def document_payload(doc: RelationDocument) -> dict:

@@ -142,22 +142,23 @@ class FamilySpec:
         if given != tuple(sorted(expected)):
             raise BadParameter(f"{self.kind} takes parameters {expected}, "
                                f"got {given}")
-        for name, value in self.params.items():
+        # no family has fewer points than any parameter, so a parameter
+        # outside 1..MAX_GROUND is refused here, before a point is drawn
+        for name in expected:
+            value = self.params[name]
             if not isinstance(value, int) or isinstance(value, bool):
                 raise BadParameter(f"{self.kind} parameter {name} must be an "
                                    f"integer, got {value!r}")
-        object.__setattr__(self, "params", dict(self.params))
-
-    def _draw(self):
-        # the one size check.  No family has fewer points than any parameter,
-        # so parameters outside 1..MAX_GROUND are refused before a point is
-        # drawn, and an oversized family after MAX_GROUND + 1 points.
-        names, describe = FAMILIES[self.kind]
-        args = [self.params[name] for name in names]
-        for name, value in zip(names, args):
             if not 1 <= value <= MAX_GROUND:
                 raise BadParameter(f"{self.kind} parameter {name} must be in "
                                    f"1..{MAX_GROUND}, got {value}")
+        object.__setattr__(self, "params", dict(self.params))
+
+    def _draw(self):
+        # the size check that needs drawing: an oversized family is refused
+        # after MAX_GROUND + 1 points
+        names, describe = FAMILIES[self.kind]
+        args = [self.params[name] for name in names]
         points, label, ge, rank = describe(*args)
         points = list(islice(points, MAX_GROUND + 1))
         if len(points) > MAX_GROUND:

@@ -62,19 +62,20 @@ class StrictCompletionReport:
 def verify_strict_optimality(base: Preorder, max_n: int | None = None) -> StrictCompletionReport:
     """Minimize the KSB distance over every total preorder and report whether
     each strict completion of ``base`` attains the minimum."""
-    from .completions import enumerate_completions, enumerate_total_preorders
+    from .completions import class_blocks, enumerate_completions
 
     _check_arguments(base)
     limit = guard(MAX_STRICT_OPT_N, max_n, base.n, "strict-optimality sweep")
+    strict = tuple(enumerate_completions(base, "strict", max_classes=limit))
     best: int | None = None
     attaining: list[TotalPreorder] = []
-    for cand in enumerate_total_preorders(base.ground, max_n=limit):
+    for blocks in class_blocks((0,) * base.n, base.ground.full_mask, "all"):
+        cand = TotalPreorder(base.ground, blocks)
         d = ksb_distance(base, cand)
         if best is None or d < best:
             best = d
             attaining = [cand]
         elif d == best:
             attaining.append(cand)
-    strict = tuple(enumerate_completions(base, "strict"))
     assert best is not None
     return StrictCompletionReport(best, tuple(attaining), strict)

@@ -9,8 +9,9 @@ exact identities, so they are ``fractions.Fraction`` values, not floats;
 
 from __future__ import annotations
 
-from .core import (Mask, Preorder, Quotient, _check_arguments, down_set, iter_bits,
-                   to_total)
+from .completions import MAX_COMPLETION_CLASSES, class_blocks
+from .core import (Mask, Preorder, Quotient, _check_arguments, down_set, guard,
+                   iter_bits, to_total)
 from .errors import BadParameter
 
 
@@ -52,11 +53,11 @@ def class_index(q: Quotient, classes: Mask, max_classes: int | None = None
     quotient ``q``, and every completion attaining it (class masks, top block
     first).  The index grows strictly with containment, so only maximal
     completions are priced, each from its class sizes."""
-    from .completions import class_blocks
-
+    guard(MAX_COMPLETION_CLASSES, max_classes, classes.bit_count(),
+          "enumerating completions", "indifference classes")
     sizes = q.sizes
     best, ties = -1, []
-    for blocks in class_blocks(q, classes, "maximal", max_classes):
+    for blocks in class_blocks(q.up, classes, "maximal"):
         value = index_total_from_sizes(
             [sum(sizes[c] for c in iter_bits(b)) for b in blocks])
         if value > best:

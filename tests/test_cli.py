@@ -344,6 +344,46 @@ def test_generate_random_rejects_density_out_of_range(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("random", "--n", "3", "--alphabet", "2"), "--alphabet"),
+    (("random", "--n", "3", "--z", "2"), "--z"),
+    (("random", "--n", "3", "--k", "4"), "--k"),
+    (("random", "--n", "3", "--m", "2"), "--m"),
+    (("chain", "--n", "3", "--density", "0.5"), "--density"),
+    (("fence", "--k", "4", "--density", "0.3"), "--density"),
+])
+def test_generate_refuses_a_flag_its_family_does_not_read(capsys, argv, flag):
+    code, out, err = run_cli(capsys, "generate", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and flag in err, err
+
+
+def test_generate_random_density_defaults_to_0_3(capsys):
+    _, default, _ = run_cli(capsys, "--seed", "4", "generate", "random", "--n", "6")
+    _, given, _ = run_cli(capsys, "--seed", "4", "generate", "random", "--n", "6",
+                          "--density", "0.3")
+    assert default == given
+
+
+def test_covering_radius_has_no_dot_output(capsys):
+    code, out, err = run_cli(capsys, "--emit", "dot", "covering-radius", "--n", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "diagram" in err, err
+
+
+def test_family_flags_and_readme_table_match_the_family_table():
+    from preorder_bca.families import FAMILIES
+
+    names = {name for params, _ in FAMILIES.values() for name in params}
+    assert sorted(cli._FAMILY_FLAGS) == sorted(names)
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    table = readme.split("`generate`'s FAMILY is", 1)[1].split("\n\n", 2)[1]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    flags = {kind: sorted(re.findall(r"`--(\w+)`", cell))
+             for kinds, cell in rows for kind in re.findall(r"`(\w+)`", kinds)}
+    assert flags == {kind: sorted(params) for kind, (params, _) in FAMILIES.items()}
+
+
 def test_bca_theorem5_honours_max_n(capsys):
     code, _, err = run_cli(capsys, "--max-n", "1", "bca", fixture("ex5_base"),
                            "--method", "theorem5")

@@ -60,7 +60,7 @@ def _parameters(target) -> list[tuple[str, object]]:
 def _call(target, arguments: dict) -> None:
     """Call ``target`` and iterate any stream it returns."""
     result = target(**arguments)
-    if isinstance(result, (Iterator, pb.CompletionStream)):
+    if isinstance(result, Iterator):
         list(result)
 
 

@@ -71,6 +71,22 @@ def test_parse_is_strict_about_field_types():
     assert doc.reflexive_closure is False and doc.transitive_closure is False
 
 
+def test_parse_leaves_value_checks_to_the_record():
+    # the schema is checked first; labels and pairs meet the record's checks
+    # and messages, a bad pair entry shown as the list it was
+    base = {"schema": "preorder-doc/1", "labels": ["a", "b"], "pairs": []}
+    for fields, message in (({"schema": "x", "labels": 5}, "^unsupported schema: 'x'$"),
+                            ({"labels": 5}, "^labels must be a list or tuple, got 5$"),
+                            ({"labels": {"a": 1}}, "^labels must be a list or tuple"),
+                            ({"labels": [1]}, "^labels must be a list of strings$"),
+                            ({"pairs": "ab"}, "^pairs must be a list or tuple, got 'ab'$"),
+                            ({"pairs": [[0, 1, 2]]}, r"^bad pair entry: \[0, 1, 2\]$"),
+                            ({"pairs": [[0, 2]]}, r"^pair \(0, 2\) is out of range")):
+        with pytest.raises(DocumentError, match=message):
+            parse_document(json.dumps({**base, **fields}))
+    assert parse_document(json.dumps({**base, "pairs": [[1, 0]]})).pairs == ((1, 0),)
+
+
 def test_constructor_rejects_bad_pair_entries():
     for entry in ((0, 0, 0), ("0", 0), (True, 0), (0, False), [0, 1], (0,), 5):
         with pytest.raises(DocumentError, match="^bad pair entry: "):

@@ -58,14 +58,6 @@ def test_ordered_partition_stream_is_lexicographic():
     assert seqs[-1] == (0b111,)
 
 
-def test_completion_stream_reiterable():
-    base = spec("fence", k=6).build()
-    stream = enumerate_completions(base)
-    first = [c.blocks for c in stream]
-    second = [c.blocks for c in stream]
-    assert first == second and first
-
-
 def test_parallel_queries_share_immutable_relations():
     base = spec("containment", z=3).build()
     totals = list(enumerate_total_preorders(GroundSet(("p", "q", "r"))))
@@ -133,3 +125,68 @@ def test_element_guard_messages(name, message):
     with pytest.raises(TooLarge, match=rf"^{message} on 2 {unit} exceeds the "
                                        r"guard \(1\)$"):
         _GUARDED[name](spec("equality", n=2).build(), 1)
+
+
+def test_no_public_name_is_a_generator_function():
+    import inspect
+
+    assert [name for name in pb.__all__
+            if inspect.isgeneratorfunction(getattr(pb, name))] == []
+
+
+def test_streams_refuse_at_the_call():
+    # each stream checks its arguments and its guard before returning the
+    # generator, so nothing here is iterated
+    base = spec("equality", n=5).build()
+    calls = [
+        (TooLarge, lambda: enumerate_completions(base, max_classes=4)),
+        (TooLarge, lambda: enumerate_total_preorders(base.ground, max_n=4)),
+        (TooLarge, lambda: enumerate_preorders(base.ground)),
+        (BadParameter, lambda: enumerate_completions(base, "maximum")),
+        (BadParameter, lambda: enumerate_completions(3)),
+        (BadParameter, lambda: enumerate_total_preorders(3)),
+        (BadParameter, lambda: enumerate_preorders(base.ground, max_n=-1)),
+    ]
+    for error, call in calls:
+        with pytest.raises(error):
+            call()
+
+
+def test_strict_optimality_refuses_nothing_after_its_scan(monkeypatch):
+    # the strict completions run under the sweep's own limit, not the
+    # default class guard
+    from preorder_bca import completions
+
+    monkeypatch.setattr(completions, "MAX_COMPLETION_CLASSES", 3)
+    report = pb.verify_strict_optimality(spec("equality", n=4).build())
+    assert report.minimum == 6
+    assert (len(report.attaining), len(report.strict_completions)) == (24, 24)
+    assert report.all_strict_attain
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("enumerate_total_preorders", [("enumerating total preorders", 3, "elements")]),
+    ("enumerate_preorders", [("enumerating preorders", 3, "elements")]),
+    ("enumerate_completions",
+     [("enumerating completions", 2, "indifference classes")]),
+    ("index_general", [("enumerating completions", 2, "indifference classes")]),
+    ("bca_duality", [("enumerating completions", 2, "indifference classes")]),
+    ("verify_strict_optimality", [("strict-optimality sweep", 3, "elements"),
+                                  ("enumerating completions", 2,
+                                   "indifference classes")]),
+])
+def test_each_route_guards_each_size_once(monkeypatch, name, expected):
+    from preorder_bca import completions, core, metrics, scoring, solver
+
+    calls = []
+
+    def spy(default, override, n, what, unit="elements"):
+        calls.append((what, n, unit))
+        return core.guard(default, override, n, what, unit)
+
+    for module in (completions, metrics, scoring, solver):
+        monkeypatch.setattr(module, "guard", spy)
+    # x1 ~ x2 above x3: three elements, two classes
+    base = pb.Preorder(GroundSet(("x1", "x2", "x3")), (0b111, 0b111, 0b100))
+    _GUARDED[name](base, None)  # streams are listed there
+    assert calls == expected

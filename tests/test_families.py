@@ -185,6 +185,16 @@ def test_family_spec():
         spec("coordinatewise", m=0).expected_bca()
 
 
+def test_family_spec_refuses_out_of_range_parameters_at_construction():
+    # like an intransitive Preorder, an out-of-range spec cannot exist
+    for kind, params, bad in (("chain", {"n": 65}, "n must be in 1..64, got 65"),
+                              ("fence", {"k": 0}, "k must be in 1..64, got 0"),
+                              ("word_prefix", {"k": 2, "alphabet": 10 ** 9},
+                               f"alphabet must be in 1..64, got {10 ** 9}")):
+        with pytest.raises(BadParameter, match=rf"^{kind} parameter {bad}$"):
+            FamilySpec(kind, params)
+
+
 def test_refinement_layers_are_cell_counts():
     # layer i collects the partitions with i cells, so layer sizes are the
     # Stirling partition numbers
@@ -392,11 +402,10 @@ OVER_CAP = {"containment": {"z": 7}, "refinement": {"z": 6},
 def test_family_caps_refuse_too_large_orders(kind, params):
     # 10**9 points would need gigabytes if any were drawn before the check
     for given in (params, dict.fromkeys(params, 10 ** 9)):
-        spec = FamilySpec(kind, given)
         with pytest.raises(BadParameter):
-            spec.build()
+            FamilySpec(kind, given).build()
         with pytest.raises(BadParameter):
-            spec.expected_bca()
+            FamilySpec(kind, given).expected_bca()
 
 
 def _oracle_witnesses(rows):
