@@ -1,9 +1,8 @@
 """Command-line front end.
 
-Subcommands wrap the library operations one-for-one:
-
-  check, metric, bca, index, canonical, condition-star, generate, dot,
-  covering-radius
+Subcommands wrap the library operations one-for-one.  Each returns its
+value, and ``FORMATS`` alone turns it into output: the ``--emit`` formats a
+subcommand writes, and the text of each.
 
 Exit codes are a stable contract: 0 success, 2 semantic error (violations,
 mismatched labels, bad parameters), 3 I/O or parse error, 4 feasibility
@@ -26,11 +25,11 @@ from .core import (
     MAX_GROUND,
     GroundSet,
     Preorder,
+    TotalPreorder,
     incomparable_witness,
     transitive_closure_rows,
 )
 from .documents import (
-    RelationDocument,
     document_from_relation,
     document_payload,
     document_to_json,
@@ -43,7 +42,8 @@ from .errors import (BadParameter, DocumentError, PreorderBcaError, TooLarge,
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
-    from .solver import ApproximationReport
+    from .solver import (ApproximationReport, ConditionStarReport,
+                         CoveringRadiusReport)
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 2
@@ -55,33 +55,39 @@ EXIT_GUARD = 4
 _FAMILY_FLAGS = ("z", "k", "m", "n", "alphabet")
 
 
-def _read_document(path: str) -> RelationDocument:
+def _load_preorder(path: str) -> Preorder:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise DocumentError(f"{path} is not UTF-8 text: {exc}") from exc
-    return parse_document(text)
-
-
-def _load_preorder(path: str) -> Preorder:
-    return document_to_preorder(_read_document(path))
+    return document_to_preorder(parse_document(text))
 
 
 def _strict_sep(args) -> str:
     return " ≻ " if args.unicode else " > "
 
 
-def _ground_size(n: int) -> int:
+def _numbered_ground(n: int) -> GroundSet:
+    """The ground set x1..xn that ``--n`` asks for."""
     if not 1 <= n <= MAX_GROUND:
         raise BadParameter(f"--n must be in 1..{MAX_GROUND}, got {n}")
-    return n
+    return GroundSet(tuple(f"x{i}" for i in range(1, n + 1)))
 
 
-def _render_report(report: ApproximationReport, args, verdict: str | None) -> str:
+def _payload(relation) -> dict:
+    return document_payload(document_from_relation(relation))
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _report_text(report: ApproximationReport, args) -> str:
+    star = report.condition_star
     lines = [f"method: {report.method}", f"distance: {report.distance}"]
-    if verdict is not None:
-        lines.insert(0, f"condition-star: {verdict}")
+    if star is not None:
+        lines.insert(0, f"condition-star: {star.verdict}")
     if not report.complete_set:
         lines.append("note: canonical completion is a member; the tie set "
                       "may be larger")
@@ -91,37 +97,34 @@ def _render_report(report: ApproximationReport, args, verdict: str | None) -> st
     return "\n".join(lines) + "\n"
 
 
-def _report_json(report: ApproximationReport, verdict: str | None) -> str:
-    payload = {
+def _report_json(report: ApproximationReport, args) -> str:
+    star = report.condition_star
+    return _json({
         "schema": "bca-report/1",
         "method": report.method,
         "distance": report.distance,
         "complete_set": report.complete_set,
-        "condition_star": verdict,
+        "condition_star": None if star is None else star.verdict,
         "indices": [str(report.index)] * len(report.bca_set),
-        "candidates": [
-            document_payload(document_from_relation(c)) for c in report.bca_set
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+        "candidates": [_payload(c) for c in report.bca_set],
+    })
 
 
-def cmd_check(args) -> int:
+class _Rejected(Exception):
+    """A failed check of a well-formed input: its reason goes to stdout, exit 2."""
+
+
+def cmd_check(args) -> Preorder:
     try:
-        preorder = document_to_preorder(_read_document(args.file))
+        preorder = _load_preorder(args.file)
     except ViolationError as exc:
-        for w in exc.witnesses:
-            print("violation:", " ".join(str(t) for t in w))
-        return EXIT_SEMANTIC
-    if args.total:
-        pair = incomparable_witness(preorder)
-        if pair is not None:
-            i, j = pair
-            print(f"not total: {preorder.ground.labels[i]} and "
-                  f"{preorder.ground.labels[j]} are incomparable")
-            return EXIT_SEMANTIC
-    print(f"ok: preorder on {preorder.n} elements")
-    return EXIT_OK
+        raise _Rejected("".join(f"violation: {' '.join(str(t) for t in w)}\n"
+                                for w in exc.witnesses)) from None
+    if args.total and (pair := incomparable_witness(preorder)) is not None:
+        i, j = pair
+        raise _Rejected(f"not total: {preorder.ground.labels[i]} and "
+                        f"{preorder.ground.labels[j]} are incomparable\n")
+    return preorder
 
 
 def cmd_metric(args) -> int:
@@ -130,96 +133,74 @@ def cmd_metric(args) -> int:
     p = _load_preorder(args.file_a)
     q = _load_preorder(args.file_b)
     if args.metric == "top-diff":
-        value = top_difference_fast(p, q)
-    elif args.metric == "top-diff-direct":
-        value = top_difference_direct(p, q, max_n=args.max_n)
-    else:
-        value = ksb_distance(p, q)
-    print(value)
-    return EXIT_OK
+        return top_difference_fast(p, q)
+    if args.metric == "top-diff-direct":
+        return top_difference_direct(p, q, max_n=args.max_n)
+    return ksb_distance(p, q)
 
 
-def cmd_bca(args) -> int:
+def cmd_bca(args) -> ApproximationReport:
     from .solver import bca_auto, bca_bruteforce, bca_duality, bca_theorem5
 
     base = _load_preorder(args.file)
     if args.method == "auto":
-        report = bca_auto(base)
-    elif args.method == "bruteforce":
-        report = bca_bruteforce(base, max_n=args.max_n)
-    elif args.method == "duality":
-        report = bca_duality(base, max_classes=args.max_n)
-    else:
-        report = bca_theorem5(base, max_layer=args.max_n)
-        if report is None:
-            print("not applicable: condition (*) fails for this relation")
-            return EXIT_SEMANTIC
-    star = report.condition_star
-    verdict = None if star is None else star.verdict
-    if args.emit == "json":
-        sys.stdout.write(_report_json(report, verdict))
-    elif args.emit == "dot":
-        parts = [
-            render_dot(c, name=f"bca{i}")
-            for i, c in enumerate(report.bca_set)
-        ]
-        sys.stdout.write("".join(parts))
-    else:
-        sys.stdout.write(_render_report(report, args, verdict))
-    return EXIT_OK
+        return bca_auto(base)
+    if args.method == "bruteforce":
+        return bca_bruteforce(base, max_n=args.max_n)
+    if args.method == "duality":
+        return bca_duality(base, max_classes=args.max_n)
+    report = bca_theorem5(base, max_layer=args.max_n)
+    if report is None:
+        raise _Rejected("not applicable: condition (*) fails for this relation\n")
+    return report
 
 
 def cmd_index(args) -> int:
     from .scoring import index_general
 
-    base = _load_preorder(args.file)
-    print(index_general(base, max_classes=args.max_n))
-    return EXIT_OK
+    return index_general(_load_preorder(args.file), max_classes=args.max_n)
 
 
-def cmd_canonical(args) -> int:
+def cmd_canonical(args) -> TotalPreorder:
     from .completions import canonical_completion
 
-    base = _load_preorder(args.file)
-    total = canonical_completion(base)
-    if args.emit == "json":
-        sys.stdout.write(document_to_json(document_from_relation(total)))
-    elif args.emit == "dot":
-        sys.stdout.write(render_dot(total, name="canonical"))
-    else:
-        print(total.render(_strict_sep(args)))
-    return EXIT_OK
+    return canonical_completion(_load_preorder(args.file))
 
 
-def cmd_condition_star(args) -> int:
+def cmd_condition_star(args) -> tuple[Preorder, ConditionStarReport]:
     from .solver import condition_star
 
     base = _load_preorder(args.file)
-    report = condition_star(base, max_layer=args.max_n)
-    print(f"verdict: {report.verdict}")
+    return base, condition_star(base, max_layer=args.max_n)
+
+
+def _star_text(value: tuple[Preorder, ConditionStarReport], args) -> str:
+    base, report = value
+    text = f"verdict: {report.verdict}\n"
     if report.witnesses:
         w = report.witnesses[0]
         labels = base.ground.label_set
-        print(f"witness: layer {w.layer}, S={{{','.join(labels(w.subset))}}}, "
-              f"Y={{{','.join(labels(w.below))}}}, index {w.index_value}, "
-              f"bound {w.bound}")
-    return EXIT_OK
+        text += (f"witness: layer {w.layer}, S={{{','.join(labels(w.subset))}}}, "
+                 f"Y={{{','.join(labels(w.below))}}}, index {w.index_value}, "
+                 f"bound {w.bound}\n")
+    return text
 
 
-def _random_preorder(n: int, density: float, seed: int) -> Preorder:
+def _random_preorder(ground: GroundSet, density: float, seed: int) -> Preorder:
     import random
 
     rng = random.Random(seed)
+    n = ground.n
     rows = [1 << i for i in range(n)]
     for i in range(n):
         for j in range(n):
             if i != j and rng.random() < density:
                 rows[i] |= 1 << j
-    labels = tuple(f"x{i}" for i in range(1, n + 1))
-    return Preorder(GroundSet(labels), tuple(transitive_closure_rows(rows)))
+    return Preorder(ground, tuple(transitive_closure_rows(rows)))
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> tuple[Preorder, TotalPreorder | None]:
+    """The family and, with --expected-bca, its closed-form answer."""
     params = {name: getattr(args, name) for name in _FAMILY_FLAGS
               if getattr(args, name) is not None}
     if args.family == "random":
@@ -227,67 +208,83 @@ def cmd_generate(args) -> int:
         if extra or args.n is None:
             raise BadParameter("random family takes --n and --density, got "
                                f"{', '.join(extra) or 'no --n'}")
-        _ground_size(args.n)
+        ground = _numbered_ground(args.n)
         density = 0.3 if args.density is None else args.density
         if not 0 <= density <= 1:
             raise BadParameter(f"--density must be in [0, 1], got {density}")
         if args.expected_bca:
             raise BadParameter("random family has no closed-form best "
                                "approximation; drop --expected-bca")
-        built = _random_preorder(args.n, density, args.seed)
-    else:
-        from .families import FamilySpec
+        return _random_preorder(ground, density, args.seed), None
+    from .families import FamilySpec
 
-        spec = FamilySpec(args.family, params)
-        if args.density is not None:
-            raise BadParameter(f"--density is for the random family, not {args.family}")
-        built = spec.build()
-    if args.emit == "dot":
-        if args.expected_bca:
-            raise BadParameter("--emit dot draws the family only; drop --expected-bca")
-        sys.stdout.write(render_dot(built, name=args.family))
-        return EXIT_OK
-    doc = document_from_relation(built)
-    if args.expected_bca:
-        payload = {
-            "schema": "family-pair/1",
-            "family": document_payload(doc),
-            "expected_bca": document_payload(
-                document_from_relation(spec.expected_bca())),
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        sys.stdout.write(document_to_json(doc))
-    return EXIT_OK
+    spec = FamilySpec(args.family, params)
+    if args.density is not None:
+        raise BadParameter(f"--density is for the random family, not {args.family}")
+    return spec.build(), spec.expected_bca() if args.expected_bca else None
 
 
-def cmd_dot(args) -> int:
-    base = _load_preorder(args.file)
-    sys.stdout.write(render_dot(base))
-    return EXIT_OK
+def _family_json(value: tuple[Preorder, TotalPreorder | None], args) -> str:
+    built, expected = value
+    if expected is None:
+        return _document_json(built, args)
+    return _json({"schema": "family-pair/1", "family": _payload(built),
+                  "expected_bca": _payload(expected)})
 
 
-def cmd_covering_radius(args) -> int:
+def _family_dot(value: tuple[Preorder, TotalPreorder | None], args) -> str:
+    built, expected = value
+    if expected is not None:
+        raise BadParameter("--emit dot draws the family only; drop --expected-bca")
+    return render_dot(built, name=args.family)
+
+
+def cmd_dot(args) -> Preorder:
+    return _load_preorder(args.file)
+
+
+def cmd_covering_radius(args) -> CoveringRadiusReport:
     from .solver import covering_radius
 
-    if args.emit == "dot":
-        raise BadParameter("covering-radius has no diagram to draw: use text or json")
-    n = _ground_size(args.n)
-    ground = GroundSet(tuple(f"x{i}" for i in range(1, n + 1)))
-    report = covering_radius(ground, max_n=args.max_n)
-    if args.emit == "json":
-        payload = {
-            "schema": "covering-radius/1",
-            "n": args.n,
-            "radius": report.radius,
-            "witness": document_payload(document_from_relation(report.witness)),
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        print(f"radius: {report.radius}")
-        print("witness:")
-        sys.stdout.write(document_to_json(document_from_relation(report.witness)))
-    return EXIT_OK
+    return covering_radius(_numbered_ground(args.n), max_n=args.max_n)
+
+
+def _document_json(relation, args) -> str:
+    return document_to_json(document_from_relation(relation))
+
+
+def _diagram(relation, args) -> str:
+    return render_dot(relation)
+
+
+# subcommand -> {--emit format: renderer(value, args) -> stdout text}: ``main``
+# refuses a format missing from a row before the command runs.
+FORMATS = {
+    "check": {"text": lambda p, args: f"ok: preorder on {p.n} elements\n"},
+    "metric": {"text": lambda distance, args: f"{distance}\n"},
+    "index": {"text": lambda index, args: f"{index}\n"},
+    "condition-star": {"text": _star_text},
+    "dot": {"text": _diagram, "dot": _diagram},
+    "covering-radius": {
+        "text": lambda report, args: (f"radius: {report.radius}\nwitness:\n"
+                                      + _document_json(report.witness, args)),
+        "json": lambda report, args: _json({
+            "schema": "covering-radius/1", "n": args.n, "radius": report.radius,
+            "witness": _payload(report.witness)}),
+    },
+    "generate": {"text": _family_json, "json": _family_json, "dot": _family_dot},
+    "bca": {
+        "text": _report_text,
+        "json": _report_json,
+        "dot": lambda report, args: "".join(
+            render_dot(c, name=f"bca{i}") for i, c in enumerate(report.bca_set)),
+    },
+    "canonical": {
+        "text": lambda total, args: total.render(_strict_sep(args)) + "\n",
+        "json": _document_json,
+        "dot": lambda total, args: render_dot(total, name="canonical"),
+    },
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Best complete approximations of finite preorders under "
                     "the top-difference semimetric.",
     )
-    parser.add_argument("--emit", choices=["text", "json", "dot"],
-                        default="text", help="output format where supported")
+    parser.add_argument("--emit", choices=["text", "json", "dot"], default="text",
+                        help="output format, if the subcommand writes it")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized fixtures (generate random)")
     parser.add_argument("--max-n", type=int, default=None, dest="max_n",
@@ -327,17 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     p.set_defaults(func=cmd_bca)
 
-    p = sub.add_parser("index", help="index of a preorder")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_index)
-
-    p = sub.add_parser("canonical", help="canonical completion")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_canonical)
-
-    p = sub.add_parser("condition-star", help="layer condition verdict")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_condition_star)
+    for name, func, text in (
+            ("index", cmd_index, "index of a preorder"),
+            ("canonical", cmd_canonical, "canonical completion"),
+            ("condition-star", cmd_condition_star, "layer condition verdict"),
+            ("dot", cmd_dot, "Hasse diagram as Graphviz DOT")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("file")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("generate", help="emit a family document")
     p.add_argument("family",
@@ -349,10 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expected-bca", action="store_true", dest="expected_bca",
                    help="also emit the closed-form best approximation")
     p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("dot", help="Hasse diagram as Graphviz DOT")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_dot)
 
     p = sub.add_parser("covering-radius", help="covering radius sweep")
     p.add_argument("--n", type=int, required=True)
@@ -372,8 +362,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
         return exc.code
+    formats = FORMATS[args.command]
+    if args.emit not in formats:
+        print(f"error: {args.command} writes {' or '.join(formats)}, "
+              f"not {args.emit}", file=sys.stderr)
+        return EXIT_SEMANTIC
     try:
-        return args.func(args)
+        sys.stdout.write(formats[args.emit](args.func(args), args))
+        return EXIT_OK
+    except _Rejected as exc:
+        sys.stdout.write(str(exc))
+        return EXIT_SEMANTIC
     except (OSError, DocumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -17,7 +17,7 @@ the index argmax, each of which guards its size once.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .core import (
     GroundSet,

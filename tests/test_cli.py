@@ -367,8 +367,49 @@ def test_generate_random_density_defaults_to_0_3(capsys):
 
 def test_covering_radius_has_no_dot_output(capsys):
     code, out, err = run_cli(capsys, "--emit", "dot", "covering-radius", "--n", "2")
-    assert (code, out) == (2, "")
-    assert err.startswith("error:") and "diagram" in err, err
+    assert (code, out, err) == (2, "", "error: covering-radius writes text or "
+                                       "json, not dot\n")
+
+
+# the formats each subcommand writes, and one run of it on a fixture
+WRITES = {"check": "text", "metric": "text", "index": "text",
+          "condition-star": "text", "dot": "text dot",
+          "covering-radius": "text json", "generate": "text json dot",
+          "bca": "text json dot", "canonical": "text json dot"}
+SUBCOMMAND_ARGV = {
+    "check": ("check", fixture("chain3")),
+    "metric": ("metric", fixture("ex1_base"), fixture("ex1_swap_top")),
+    "bca": ("bca", fixture("ex5_base")),
+    "index": ("index", fixture("ex8_base")),
+    "canonical": ("canonical", fixture("ex4_base")),
+    "condition-star": ("condition-star", fixture("ex7_k3")),
+    "generate": ("generate", "chain", "--n", "3"),
+    "dot": ("dot", fixture("chain3")),
+    "covering-radius": ("covering-radius", "--n", "2"),
+}
+
+
+@pytest.mark.parametrize("emit", ["text", "json", "dot"])
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
+def test_each_subcommand_writes_its_formats_and_refuses_the_rest(capsys, command, emit):
+    code, out, err = run_cli(capsys, "--emit", emit, *SUBCOMMAND_ARGV[command])
+    formats = WRITES[command].split()
+    assert list(cli.FORMATS[command]) == formats
+    if emit in formats:
+        assert (code, err) == (0, ""), err
+        assert out
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"error: {command} writes {' or '.join(formats)}, not {emit}\n"
+
+
+def test_a_refused_format_wins_over_a_missing_file(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    for argv in (("--emit", "json", "check", "/nonexistent.json"),
+                 ("--emit", "dot", "metric", missing, missing)):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and "writes text, not" in err, err
 
 
 def test_family_flags_and_readme_table_match_the_family_table():

@@ -1,8 +1,12 @@
 """The CLI exit-code contract holds for every input: ``cli.main`` returns one
 of 0, 2, 3, 4 and never raises, whatever the argument vector and whatever the
 documents it names hold (arbitrary bytes, text, JSON values, or
-document-shaped JSON with arbitrary field values)."""
+document-shaped JSON with arbitrary field values).  Output keeps the format
+asked for: a success under ``--emit json`` writes JSON, one under ``--emit
+dot`` writes DOT, and a format the subcommand does not write is refused with
+nothing on stdout."""
 
+import contextlib
 import io
 import json
 import pathlib
@@ -99,6 +103,22 @@ COMMANDS = {
 }
 
 
+def test_every_subcommand_is_fuzzed():
+    assert set(COMMANDS) == set(cli.FORMATS)
+
+
+def requested(argv):
+    """(subcommand, format) of ``argv``, or None when argparse refuses it or
+    prints help."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            args = cli.build_parser().parse_args(argv)
+    except SystemExit:
+        return None
+    return args.command, args.emit
+
+
 @st.composite
 def invocations(draw):
     """An argument vector plus the bytes of the documents it names."""
@@ -151,5 +171,17 @@ def test_cli_main_returns_a_contract_exit_code(docdir, invocation):
     finally:
         sys.stdout, sys.stderr = saved
     assert code in (0, 2, 3, 4), (argv, code)
+    out, err = out.buffer.getvalue(), err.buffer.getvalue()
     if code in (3, 4):
-        assert err.buffer.getvalue().startswith(b"error:" if code == 3 else b"guard:")
+        assert err.startswith(b"error:" if code == 3 else b"guard:")
+    pair = requested(argv)
+    if pair is None:
+        return
+    command, emit = pair
+    if emit not in cli.FORMATS[command]:
+        assert (code, out) == (2, b""), argv
+        assert err.startswith(f"error: {command} writes ".encode()), err
+    elif code == 0 and emit == "json":
+        json.loads(out)
+    elif code == 0 and emit == "dot":
+        assert out.startswith(b"digraph"), out

@@ -7,7 +7,9 @@ an import binds must be read somewhere in its module, or listed in an
 ``__all__``; ``__future__`` features are exempt.  Every private top-level
 name of the package (``_x``, not a dunder) must be read somewhere in the
 package outside its own definition.  Every exported error class but the
-catch-all ``PreorderBcaError`` must appear in a ``raise`` statement.
+catch-all ``PreorderBcaError`` must appear in a ``raise`` statement.  No
+module of the package imports ``typing`` or ``dataclasses``, which would add
+their import time to every process.
 """
 
 import ast
@@ -118,3 +120,27 @@ def test_every_exported_error_class_is_raised():
                            for path in PACKAGE))
     exported = set(preorder_bca._EXPORTS["errors"]) - {"PreorderBcaError"}
     assert exported - raised == set()
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level modules ``source`` imports, relative imports aside."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_the_scan_finds_imported_modules():
+    source = ("import os.path, json as j\nfrom typing import Iterator\n"
+              "from .core import x\nif X:\n    import dataclasses\n")
+    assert imported_modules(source) == {"os", "json", "typing", "dataclasses"}
+
+
+def test_no_package_module_imports_typing_or_dataclasses():
+    heavy = {str(path.relative_to(ROOT)): found for path in PACKAGE
+             if (found := imported_modules(path.read_text(encoding="utf-8"))
+                 & {"typing", "dataclasses"})}
+    assert heavy == {}

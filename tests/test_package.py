@@ -28,7 +28,7 @@ from preorder_bca import (
     parse_document,
     to_total,
 )
-from preorder_bca.cli import build_parser
+from preorder_bca.cli import FORMATS, build_parser
 
 SRC = str(pathlib.Path(preorder_bca.__file__).resolve().parents[1])
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -59,18 +59,29 @@ def test_cli_import_loads_no_solver_stack():
         assert heavy not in loaded, heavy
 
 
-def _readme_load_table() -> dict[str, set[str]]:
-    """README's "What each subcommand loads" table: subcommand -> modules."""
+def _readme_table(header: str) -> dict[str, set[str]]:
+    """The README table under ``header``: subcommand -> the names its second
+    column lists."""
     lines = (ROOT / "README.md").read_text().splitlines()
-    start = lines.index("| subcommand | modules added on top |")
+    start = lines.index(header)
     table = {}
     for line in lines[start + 2:]:
         if not line.startswith("|"):
             break
-        commands, modules = line.strip("|").split("|")
+        commands, names = line.strip("|").split("|")
         for command in re.findall(r"`([^`]+)`", commands):
-            table[command] = set(re.findall(r"`([^`]+)`", modules))
+            table[command] = set(re.findall(r"`([^`]+)`", names))
     return table
+
+
+def _readme_load_table() -> dict[str, set[str]]:
+    """README's "What each subcommand loads" table: subcommand -> modules."""
+    return _readme_table("| subcommand | modules added on top |")
+
+
+def test_readme_format_table_is_the_cli_format_table():
+    formats = {command: set(row) for command, row in FORMATS.items()}
+    assert _readme_table("| subcommand | formats |") == formats
 
 
 # One run of each subcommand on a fixture; the modules every process loads
