@@ -140,10 +140,6 @@ class Quotient:
             m |= self.classes[c]
         return m
 
-    def classes_in(self, elements: Mask) -> Mask:
-        """The classes meeting ``elements``, as a class mask."""
-        return mask_of(c for c, m in enumerate(self.classes) if m & elements)
-
     def covers(self) -> Iterator[tuple[int, int]]:
         """Class pairs (a, b), a covering b (no class strictly between)."""
         return ((a, b) for a, below in enumerate(self.down)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from itertools import islice, product
 
-from ._record import record
+from ._record import lazy, record
 from .core import (MAX_GROUND, GroundSet, Preorder, TotalPreorder, iter_bits,
                    mask_of)
 from .errors import BadParameter
@@ -153,10 +153,12 @@ class FamilySpec:
                 raise BadParameter(f"{self.kind} parameter {name} must be in "
                                    f"1..{MAX_GROUND}, got {value}")
         object.__setattr__(self, "params", dict(self.params))
+        self._drawn  # draw once, now: what build() would refuse is refused here
 
-    def _draw(self):
-        # the size check that needs drawing: an oversized family is refused
-        # after MAX_GROUND + 1 points
+    @lazy
+    def _drawn(self):
+        # the checks that need drawing: a malformed family is refused by its
+        # function, an oversized one after MAX_GROUND + 1 points
         names, describe = FAMILIES[self.kind]
         args = [self.params[name] for name in names]
         points, label, ge, rank = describe(*args)
@@ -167,13 +169,13 @@ class FamilySpec:
         return GroundSet(tuple(map(label, points))), points, ge, rank
 
     def build(self) -> Preorder:
-        ground, points, ge, _ = self._draw()
+        ground, points, ge, _ = self._drawn
         return Preorder(ground, tuple(
             mask_of(j for j, b in enumerate(points) if ge(a, b)) for a in points))
 
     def expected_bca(self) -> TotalPreorder:
         """Closed-form best approximation for this family."""
-        ground, points, _, rank = self._draw()
+        ground, points, _, rank = self._drawn
         ranks = [rank(point) for point in points]
         return TotalPreorder(ground, tuple(
             mask_of(i for i, r in enumerate(ranks) if r == top)

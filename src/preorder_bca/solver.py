@@ -37,6 +37,7 @@ from .core import (
     guard,
     iter_bits,
     layers,
+    mask_of,
 )
 from .completions import _preorder_rows
 from .errors import TooLarge
@@ -56,7 +57,7 @@ FAILS = "fails"
 class ApproximationReport:
     """Solver output: the tie set, its common distance and common index, the
     route that produced it, and the condition (*) report the route read
-    (None when it checked no condition (*) or the check's guard refused)."""
+    (None only for a route that checks no condition (*))."""
 
     bca_set: tuple[TotalPreorder, ...]
     distance: int
@@ -88,7 +89,9 @@ class ConditionStarReport:
 
     ``strict`` means every inequality held strictly; ``weak`` means no
     violation but at least one equality; ``fails`` means some restricted
-    index reached beyond its bound.
+    index reached beyond its bound.  Each witness's S is a union of whole
+    classes, listed by layer and then S's element mask; a pair whose S
+    contains a witness's S and has its Y is implied and not listed.
     """
 
     verdict: str
@@ -139,36 +142,38 @@ def condition_star(base: Preorder, max_layer: int | None = None) -> ConditionSta
     """Check the layer condition: for every layer M_i and nonempty proper
     subset S of M_i, the index of the restriction to Y stays below
     2^(|S|+|Y|), where Y collects the elements strictly below some member of
-    S but below no member of M_i outside S.  An empty Y satisfies its
-    inequality trivially; any other Y is a union of indifference classes, so
-    its index is taken on the quotient's class mask of Y."""
-    layer_masks = layers(base)
-    # refuse before sweeping any layer, so a refusal costs only the layers;
-    # a layer of one element has no nonempty proper subset to sweep
-    sizes = [m.bit_count() if m & (m - 1) else 0 for m in layer_masks]
-    widest = max(sizes)
+    S but below no member of M_i outside S (an empty Y holds trivially).  Y
+    depends only on the classes wholly inside S with something below them,
+    and other members of S only loosen the bound, so S runs over the unions
+    of those classes short of the layer, and Y is a class mask of the quotient."""
+    _check_arguments(base)
+    q = base.quotient
+    # refuse before sweeping any layer; a one-class layer is not swept
+    swept = [mask_of(c for c in iter_bits(m) if q.down[c]) if m & (m - 1) else 0
+             for m in q.layers]
+    counts = [u.bit_count() for u in swept]
+    widest = max(counts)
     guard(MAX_CONDITION_LAYER, max_layer, widest,
-          f"layer {sizes.index(widest) + 1} subset sweep")
+          f"layer {counts.index(widest) + 1} subset sweep", "indifference classes")
     witnesses: list[ConditionStarWitness] = []
-    strict_down, q = base.strict_down, base.quotient
-    for i, layer in enumerate(layer_masks, start=1):
-        s = (0 - layer) & layer
-        while s != layer:
-            below = 0
-            for x in iter_bits(s):
-                below |= strict_down[x]
-            for x in iter_bits(layer & ~s):
-                below &= ~strict_down[x]
-            if below:
-                y = q.classes_in(below)
+    for i, (layer, classes) in enumerate(zip(q.layers, swept), start=1):
+        u = (0 - classes) & classes
+        while u:
+            below = [0, 0]  # the down-sets of the classes outside U, inside U
+            for c in iter_bits(classes):
+                below[u >> c & 1] |= q.down[c]
+            y = below[1] & ~below[0]
+            if y and u != layer:
                 try:
                     value = class_index(q, y)[0]
                 except TooLarge as exc:  # name the layer whose Y was refused
                     raise TooLarge(f"layer {i}, Y: {exc}") from None
-                bound = 1 << (s.bit_count() + below.bit_count())
+                bound = 1 << sum(q.sizes[c] for c in iter_bits(u | y))
                 if value >= bound:
-                    witnesses.append(ConditionStarWitness(i, s, below, value, bound))
-            s = (s - layer) & layer
+                    witnesses.append(ConditionStarWitness(
+                        i, q.expand(u), q.expand(y), value, bound))
+            u = (u - classes) & classes
+    witnesses.sort(key=lambda w: (w.layer, w.subset))
     verdict = (FAILS if any(w.index_value > w.bound for w in witnesses)
                else WEAK if witnesses else STRICT)
     return ConditionStarReport(verdict, tuple(witnesses))
@@ -193,12 +198,10 @@ def bca_auto(base: Preorder) -> ApproximationReport:
     """Cheapest certain route, chosen by one condition (*) check: theorem 5
     when the verdict is strict, else duality, whose class guard refuses no
     base brute force could take (classes <= elements).  The report carries
-    the verdict; ``condition_star`` is None when the check's guard refused."""
-    try:
-        star = condition_star(base)
-    except TooLarge:
-        star = None
-    if star is not None and star.verdict == STRICT:
+    the verdict: with default guards the check refuses only a base of more
+    classes than duality's guard, so auto refuses it too."""
+    star = condition_star(base)
+    if star.verdict == STRICT:
         return _report(base, [layers(base)], "theorem5", star=star)
     report = bca_duality(base)
     return ApproximationReport(report.bca_set, report.distance, report.index,

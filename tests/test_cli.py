@@ -102,8 +102,10 @@ def test_bca_guard_exit_code(capsys):
 
 
 def test_bca_auto_refusal_is_the_completion_guard(tmp_path, capsys):
-    # auto has no brute-force fallback: past duality's class guard it refuses
-    message = "enumerating completions on 32 indifference classes exceeds the guard (9)"
+    # auto has no brute-force fallback: condition (*)'s inner completion guard
+    # refuses a Y of 11 classes before duality could see all 32
+    message = ("layer 2, Y: enumerating completions on 11 indifference classes "
+               "exceeds the guard (9)")
     with pytest.raises(TooLarge, match=f"^{re.escape(message)}$"):
         bca_auto(spec("containment", z=5).build())
     code, out, _ = run_cli(capsys, "generate", "containment", "--z", "5")
@@ -306,6 +308,35 @@ def test_condition_star_strict_has_no_witness_line(capsys):
     assert out == "verdict: strict\n"
 
 
+def test_condition_star_answers_wide_layers_of_classes_with_nothing_below(
+        tmp_path, capsys):
+    # the sweep counts classes with something below, not elements: none of
+    # these layers has two, so each is strict
+    star = {"schema": "preorder-doc/1", "labels": [f"x{i}" for i in range(18)],
+            "pairs": [[0, i] for i in range(1, 18)], "reflexive_closure": True}
+    docs = {"star.json": json.dumps(star)}
+    for family in ("equality", "indifferent"):
+        code, out, _ = run_cli(capsys, "generate", family, "--n", "64")
+        docs[f"{family}.json"] = out
+    for name, text in docs.items():
+        (tmp_path / name).write_text(text)
+        code, out, err = run_cli(capsys, "condition-star", str(tmp_path / name))
+        assert (code, out, err) == (0, "verdict: strict\n", ""), name
+
+
+def test_bca_auto_answers_equality_17_by_theorem5(tmp_path, capsys):
+    from preorder_bca import FamilySpec
+
+    code, out, _ = run_cli(capsys, "generate", "equality", "--n", "17")
+    doc = tmp_path / "equality17.json"
+    doc.write_text(out)
+    code, out, err = run_cli(capsys, "bca", str(doc))
+    (block,) = FamilySpec("equality", {"n": 17}).expected_bca().render().split(" > ")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["method: theorem5", "distance: 0", "candidates:",
+                                    f"  {block}  (index {17 << 17})"]
+
+
 def test_non_utf8_document_is_an_io_error(tmp_path, capsys):
     bad = tmp_path / "latin1.json"
     bad.write_bytes(b'{"schema": "preorder-doc/1", "labels": ["\xe9"], "pairs": []}')
@@ -426,7 +457,7 @@ def test_family_flags_and_readme_table_match_the_family_table():
 
 
 def test_bca_theorem5_honours_max_n(capsys):
-    code, _, err = run_cli(capsys, "--max-n", "1", "bca", fixture("ex5_base"),
+    code, _, err = run_cli(capsys, "--max-n", "0", "bca", fixture("ex5_base"),
                            "--method", "theorem5")
     assert code == 4
     assert err.startswith("guard:")
@@ -467,8 +498,8 @@ def test_bca_computes_condition_star_once(tmp_path, capsys, monkeypatch):
     calls.clear()
     code, out, err = run_cli(capsys, "bca", str(doc))
     assert (code, out, len(calls)) == (4, "", 1)
-    assert err == ("guard: enumerating completions on 32 indifference classes "
-                   "exceeds the guard (9)\n")
+    assert err == ("guard: layer 2, Y: enumerating completions on 11 "
+                   "indifference classes exceeds the guard (9)\n")
 
 
 def test_deeply_nested_json_is_a_document_error(tmp_path, capsys):

@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -105,6 +106,24 @@ COMMANDS = {
 
 def test_every_subcommand_is_fuzzed():
     assert set(COMMANDS) == set(cli.FORMATS)
+
+
+def test_a_failing_property_reports_its_example(tmp_path):
+    # under the project's pytest settings, which make warnings errors, a
+    # failing property prints its falsifying example (exit 1), not an
+    # INTERNALERROR from the plugin's report hook (exit 3)
+    test = tmp_path / "test_fails.py"
+    test.write_text("from hypothesis import given, settings, strategies as st\n\n\n"
+                    "@settings(database=None, derandomize=True)\n"
+                    "@given(st.integers())\n"
+                    "def test_fails(x):\n"
+                    "    assert x < 0\n")
+    config = pathlib.Path(__file__).parent.parent / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-c", str(config),
+                          "-p", "no:cacheprovider", "-q", str(test)],
+                         capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example: test_fails(" in run.stdout
 
 
 def requested(argv):

@@ -120,11 +120,17 @@ def test_guard_override_must_be_an_integer(name):
     ("bca_theorem5", "layer 1 subset sweep"),
 ])
 def test_element_guard_messages(name, message):
-    # the two-element antichain: two elements, two classes, one layer of two
-    unit = "indifference classes" if message == "enumerating completions" else "elements"
+    # the two-element antichain: two elements, two classes, one layer of two.
+    # Condition (*) counts the classes it sweeps, those with something below,
+    # so it reads the fence x1 < x2 > x3 < x4, whose top layer has two
+    base, unit = spec("equality", n=2).build(), "elements"
+    if message == "layer 1 subset sweep":
+        base = spec("fence", k=4).build()
+    if message in ("enumerating completions", "layer 1 subset sweep"):
+        unit = "indifference classes"
     with pytest.raises(TooLarge, match=rf"^{message} on 2 {unit} exceeds the "
                                        r"guard \(1\)$"):
-        _GUARDED[name](spec("equality", n=2).build(), 1)
+        _GUARDED[name](base, 1)
 
 
 def test_no_public_name_is_a_generator_function():

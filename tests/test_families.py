@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -195,6 +196,20 @@ def test_family_spec_refuses_out_of_range_parameters_at_construction():
             FamilySpec(kind, params)
 
 
+@pytest.mark.parametrize("kind, params, message", [
+    ("fence", {"k": 5}, "fence and crown sizes must be even and at least 4"),
+    ("crown", {"k": 2}, "fence and crown sizes must be even and at least 4"),
+    ("word_prefix", {"alphabet": 27, "k": 1},
+     "alphabet size must be at most 26 (letters a..z), got 27"),
+    ("containment", {"z": 7}, "containment {'z': 7} has more than 64 elements"),
+])
+def test_family_spec_refuses_what_build_refuses_at_construction(kind, params, message):
+    # parameters in range that draw no family: odd or tiny bipartite sizes,
+    # more letters than a..z, more points than the ground-set cap
+    with pytest.raises(BadParameter, match=f"^{re.escape(message)}$"):
+        FamilySpec(kind, params)
+
+
 def test_refinement_layers_are_cell_counts():
     # layer i collects the partitions with i cells, so layer sizes are the
     # Stirling partition numbers
@@ -217,8 +232,8 @@ def _small_specs(kind, max_n=6):
     names = FAMILIES[kind][0]
     specs = []
     for values in sorted(product(range(1, 7), repeat=len(names)), key=sum):
-        spec = FamilySpec(kind, dict(zip(names, values)))
         try:
+            spec = FamilySpec(kind, dict(zip(names, values)))
             base = spec.build()
         except PreorderBcaError:
             continue

@@ -225,6 +225,17 @@ def test_bca_auto_routes():
         assert report.complete_set
 
 
+def test_condition_star_guard_counts_the_classes_a_layer_sweeps():
+    # fence(8)'s top layer holds four classes, each above one or two bottoms
+    fence = spec("fence", k=8).build()
+    assert condition_star(fence, max_layer=4) == condition_star(fence)
+    with pytest.raises(TooLarge, match=r"^layer 1 subset sweep on 4 indifference "
+                                       r"classes exceeds the guard \(3\)$"):
+        condition_star(fence, max_layer=3)
+    # 64 classes with nothing below are not swept at all
+    assert condition_star(spec("equality", n=64).build(), max_layer=0).verdict == "strict"
+
+
 def test_bruteforce_guard():
     with pytest.raises(TooLarge):
         bca_bruteforce(wx.three_member_tie_base())
