@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands wrap the library operations one-for-one.  Each returns its
-value, and ``FORMATS`` alone turns it into output: the ``--emit`` formats a
-subcommand writes, and the text of each.
+Subcommands wrap the library operations one-for-one.  ``COMMANDS`` declares
+each once: its help text, the command, which returns its value, and the
+``--emit`` formats it writes with the text of each.
 
 Exit codes are a stable contract: 0 success, 2 semantic error (violations,
 mismatched labels, bad parameters), 3 I/O or parse error, 4 feasibility
@@ -257,33 +257,40 @@ def _diagram(relation, args) -> str:
     return render_dot(relation)
 
 
-# subcommand -> {--emit format: renderer(value, args) -> stdout text}: ``main``
-# refuses a format missing from a row before the command runs.
-FORMATS = {
-    "check": {"text": lambda p, args: f"ok: preorder on {p.n} elements\n"},
-    "metric": {"text": lambda distance, args: f"{distance}\n"},
-    "index": {"text": lambda index, args: f"{index}\n"},
-    "condition-star": {"text": _star_text},
-    "dot": {"text": _diagram, "dot": _diagram},
-    "covering-radius": {
+# subcommand -> (help text, command, {--emit format: renderer(value, args) ->
+# stdout text}), in ``--help`` order: ``main`` refuses a format missing from a
+# row before the command runs.
+COMMANDS = {
+    "check": ("validate a relation document", cmd_check, {
+        "text": lambda p, args: f"ok: preorder on {p.n} elements\n"}),
+    "metric": ("distance between two documents", cmd_metric, {
+        "text": lambda distance, args: f"{distance}\n"}),
+    "bca": ("best complete approximations", cmd_bca, {
+        "text": _report_text,
+        "json": _report_json,
+        "dot": lambda report, args: "".join(
+            render_dot(c, name=f"bca{i}") for i, c in enumerate(report.bca_set)),
+    }),
+    "index": ("index of a preorder", cmd_index, {
+        "text": lambda index, args: f"{index}\n"}),
+    "canonical": ("canonical completion", cmd_canonical, {
+        "text": lambda total, args: total.render(_strict_sep(args)) + "\n",
+        "json": _document_json,
+        "dot": lambda total, args: render_dot(total, name="canonical"),
+    }),
+    "condition-star": ("layer condition verdict", cmd_condition_star, {
+        "text": _star_text}),
+    "dot": ("Hasse diagram as Graphviz DOT", cmd_dot, {
+        "text": _diagram, "dot": _diagram}),
+    "generate": ("emit a family document", cmd_generate, {
+        "text": _family_json, "json": _family_json, "dot": _family_dot}),
+    "covering-radius": ("covering radius sweep", cmd_covering_radius, {
         "text": lambda report, args: (f"radius: {report.radius}\nwitness:\n"
                                       + _document_json(report.witness, args)),
         "json": lambda report, args: _json({
             "schema": "covering-radius/1", "n": args.n, "radius": report.radius,
             "witness": _payload(report.witness)}),
-    },
-    "generate": {"text": _family_json, "json": _family_json, "dot": _family_dot},
-    "bca": {
-        "text": _report_text,
-        "json": _report_json,
-        "dot": lambda report, args: "".join(
-            render_dot(c, name=f"bca{i}") for i, c in enumerate(report.bca_set)),
-    },
-    "canonical": {
-        "text": lambda total, args: total.render(_strict_sep(args)) + "\n",
-        "json": _document_json,
-        "dot": lambda total, args: render_dot(total, name="canonical"),
-    },
+    }),
 }
 
 
@@ -303,51 +310,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--unicode", action="store_true",
                         help="use relation glyphs in text output")
     sub = parser.add_subparsers(dest="command", required=True)
+    p = {name: sub.add_parser(name, help=text)
+         for name, (text, _, _) in COMMANDS.items()}
 
-    p = sub.add_parser("check", help="validate a relation document")
-    p.add_argument("file")
-    p.add_argument("--total", action="store_true",
-                   help="additionally require totality")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("metric", help="distance between two documents")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    p.add_argument("--metric", choices=["top-diff", "top-diff-direct", "ksb"],
-                   default="top-diff")
-    p.set_defaults(func=cmd_metric)
-
-    p = sub.add_parser("bca", help="best complete approximations")
-    p.add_argument("file")
-    p.add_argument("--method",
-                   choices=["auto", "bruteforce", "duality", "theorem5"],
-                   default="auto")
-    p.set_defaults(func=cmd_bca)
-
-    for name, func, text in (
-            ("index", cmd_index, "index of a preorder"),
-            ("canonical", cmd_canonical, "canonical completion"),
-            ("condition-star", cmd_condition_star, "layer condition verdict"),
-            ("dot", cmd_dot, "Hasse diagram as Graphviz DOT")):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("file")
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("generate", help="emit a family document")
-    p.add_argument("family",
-                   help="a family kind (an unknown one lists them), or random")
+    for name in ("check", "bca", "index", "canonical", "condition-star", "dot"):
+        p[name].add_argument("file")
+    p["check"].add_argument("--total", action="store_true",
+                            help="additionally require totality")
+    p["metric"].add_argument("file_a")
+    p["metric"].add_argument("file_b")
+    p["metric"].add_argument("--metric",
+                             choices=["top-diff", "top-diff-direct", "ksb"],
+                             default="top-diff")
+    p["bca"].add_argument("--method",
+                          choices=["auto", "bruteforce", "duality", "theorem5"],
+                          default="auto")
+    p["generate"].add_argument(
+        "family", help="a family kind (an unknown one lists them), or random")
     for name in _FAMILY_FLAGS:
-        p.add_argument(f"--{name}", type=int)
-    p.add_argument("--density", type=float,
-                   help="edge density for the random family (default 0.3)")
-    p.add_argument("--expected-bca", action="store_true", dest="expected_bca",
-                   help="also emit the closed-form best approximation")
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("covering-radius", help="covering radius sweep")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_covering_radius)
-
+        p["generate"].add_argument(f"--{name}", type=int)
+    p["generate"].add_argument(
+        "--density", type=float,
+        help="edge density for the random family (default 0.3)")
+    p["generate"].add_argument(
+        "--expected-bca", action="store_true", dest="expected_bca",
+        help="also emit the closed-form best approximation")
+    p["covering-radius"].add_argument("--n", type=int, required=True)
     return parser
 
 
@@ -362,13 +350,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
         return exc.code
-    formats = FORMATS[args.command]
+    _, command, formats = COMMANDS[args.command]
     if args.emit not in formats:
         print(f"error: {args.command} writes {' or '.join(formats)}, "
               f"not {args.emit}", file=sys.stderr)
         return EXIT_SEMANTIC
     try:
-        sys.stdout.write(formats[args.emit](args.func(args), args))
+        sys.stdout.write(formats[args.emit](command(args), args))
         return EXIT_OK
     except _Rejected as exc:
         sys.stdout.write(str(exc))

@@ -425,7 +425,7 @@ SUBCOMMAND_ARGV = {
 def test_each_subcommand_writes_its_formats_and_refuses_the_rest(capsys, command, emit):
     code, out, err = run_cli(capsys, "--emit", emit, *SUBCOMMAND_ARGV[command])
     formats = WRITES[command].split()
-    assert list(cli.FORMATS[command]) == formats
+    assert list(cli.COMMANDS[command][2]) == formats
     if emit in formats:
         assert (code, err) == (0, ""), err
         assert out

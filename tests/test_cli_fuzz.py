@@ -105,7 +105,7 @@ COMMANDS = {
 
 
 def test_every_subcommand_is_fuzzed():
-    assert set(COMMANDS) == set(cli.FORMATS)
+    assert set(COMMANDS) == set(cli.COMMANDS)
 
 
 def test_a_failing_property_reports_its_example(tmp_path):
@@ -197,7 +197,7 @@ def test_cli_main_returns_a_contract_exit_code(docdir, invocation):
     if pair is None:
         return
     command, emit = pair
-    if emit not in cli.FORMATS[command]:
+    if emit not in cli.COMMANDS[command][2]:
         assert (code, out) == (2, b""), argv
         assert err.startswith(f"error: {command} writes ".encode()), err
     elif code == 0 and emit == "json":

@@ -1,9 +1,9 @@
 """Package surface: lazy public names, what the CLI imports at start-up, and
 the frozen-record semantics of the public value classes."""
 
-import argparse
 import contextlib
 import copy
+import importlib
 import io
 import json
 import os
@@ -28,7 +28,7 @@ from preorder_bca import (
     parse_document,
     to_total,
 )
-from preorder_bca.cli import FORMATS, build_parser
+from preorder_bca import cli
 
 SRC = str(pathlib.Path(preorder_bca.__file__).resolve().parents[1])
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -80,7 +80,8 @@ def _readme_load_table() -> dict[str, set[str]]:
 
 
 def test_readme_format_table_is_the_cli_format_table():
-    formats = {command: set(row) for command, row in FORMATS.items()}
+    formats = {command: set(formats)
+               for command, (_, _, formats) in cli.COMMANDS.items()}
     assert _readme_table("| subcommand | formats |") == formats
 
 
@@ -101,9 +102,28 @@ _ALWAYS_LOADED = {"cli", "core", "documents", "errors", "_record"}
 
 
 def test_readme_load_table_names_every_subcommand():
-    sub = next(action for action in build_parser()._actions
-               if isinstance(action, argparse._SubParsersAction))
-    assert set(_readme_load_table()) == set(sub.choices) == set(_SUBCOMMAND_RUNS)
+    assert set(_readme_load_table()) == set(cli.COMMANDS) == set(_SUBCOMMAND_RUNS)
+
+
+def test_help_lists_the_command_table_in_order():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["--help"]) == 0
+    listed = re.findall(r"^    (\S+) +(.+)$", out.getvalue(), re.MULTILINE)
+    assert listed == [(command, text)
+                      for command, (text, _, _) in cli.COMMANDS.items()]
+
+
+def test_console_script_is_cli_main():
+    # a regex, not tomllib, which Python 3.10 lacks
+    scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]\n")[1]
+    target = re.match(r'preorder-bca = "([\w.]+):(\w+)"\n', scripts)
+    assert target is not None, scripts
+    module, name = target.groups()
+    main = getattr(importlib.import_module(module), name)
+    assert main is cli.main
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--help"]) == 0
 
 
 @pytest.mark.parametrize("command", sorted(_SUBCOMMAND_RUNS))

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import worked_examples as wx
 from preorder_bca import (
@@ -19,6 +20,7 @@ from preorder_bca import (
     top_difference_fast,
 )
 from preorder_bca import _backend
+from bases import SHAPES
 from worked_examples import spec
 from conftest import random_preorder
 
@@ -360,3 +362,27 @@ def test_bca_members_maximal_random_n5(rng):
         base = random_preorder(rng, 5, rng.choice([0.2, 0.4]))
         for cand in bca_bruteforce(base).bca_set:
             assert is_maximal_completion(cand, base)
+
+
+@settings(max_examples=700, deadline=5000)
+@given(st.sampled_from(sorted(SHAPES)), st.sampled_from(range(1, 8)),
+       st.integers(0, 2**32 - 1))
+def test_the_routes_agree_on_hard_bases(shape, n, seed):
+    """Brute force, duality, the index, theorem 5 and auto answer alike on
+    the shared hard bases of ``tests/bases.py``."""
+    base = Preorder(GroundSet(tuple(f"x{i}" for i in range(1, n + 1))),
+                    tuple(SHAPES[shape](seed, n)))
+    brute = bca_bruteforce(base)
+    ties = [c.blocks for c in brute.bca_set]
+    duality = bca_duality(base)
+    assert [c.blocks for c in duality.bca_set] == ties
+    assert duality.distance == brute.distance
+    assert index_general(base) == duality.index == brute.index
+    canonical = canonical_completion(base).blocks
+    verdict = condition_star(base).verdict
+    if verdict == "strict":
+        assert ties == [canonical]
+    elif verdict == "weak":
+        assert canonical in ties
+    auto = bca_auto(base)
+    assert [c.blocks for c in auto.bca_set] == ties and auto.complete_set
