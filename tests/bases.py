@@ -26,13 +26,13 @@ def _order(rng: random.Random, n: int) -> list[int]:
     return order
 
 
-def random_poset(seed: int, n: int, density: float = 0.3) -> list[int]:
-    """Each pair of a random linear order is an edge with probability
-    ``density``, the later element above the earlier."""
+def random_poset(seed: int, n: int) -> list[int]:
+    """Each pair of a random linear order is an edge with probability 0.3,
+    the later element above the earlier."""
     rng = random.Random(seed)
     order = _order(rng, n)
     return _closed(n, [(order[j], order[i]) for j in range(n) for i in range(j)
-                       if rng.random() < density])
+                       if rng.random() < 0.3])
 
 
 def star_union(seed: int, n: int) -> list[int]:

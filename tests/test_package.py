@@ -105,7 +105,9 @@ def test_readme_load_table_names_every_subcommand():
     assert set(_readme_load_table()) == set(cli.COMMANDS) == set(_SUBCOMMAND_RUNS)
 
 
-def test_help_lists_the_command_table_in_order():
+def test_help_lists_the_command_table_in_order(monkeypatch):
+    # argparse wraps help to the terminal width, which it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["--help"]) == 0
