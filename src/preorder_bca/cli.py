@@ -54,6 +54,15 @@ EXIT_GUARD = 4
 # names in ``families.FAMILIES``.
 _FAMILY_FLAGS = ("z", "k", "m", "n", "alphabet")
 
+# The routes that read each global flag; ``main`` refuses the flag on any
+# other route before the command runs.
+_READ_BY = {
+    "--max-n": ("metric --metric top-diff-direct", "bca --method bruteforce",
+                "bca --method duality", "bca --method theorem5", "index",
+                "condition-star", "covering-radius"),
+    "--seed": ("generate random",),
+}
+
 
 def _load_preorder(path: str) -> Preorder:
     try:
@@ -108,6 +117,20 @@ def _report_json(report: ApproximationReport, args) -> str:
         "indices": [str(report.index)] * len(report.bca_set),
         "candidates": [_payload(c) for c in report.bca_set],
     })
+
+
+def _refuse_unread_flags(args) -> None:
+    """Refuse ``--max-n`` or ``--seed`` on a route that would drop it."""
+    route = args.command
+    if route == "metric":
+        route += f" --metric {args.metric}"
+    elif route == "bca":
+        route += f" --method {args.method}"
+    elif route == "generate":
+        route += f" {args.family}"
+    for flag, value in (("--max-n", args.max_n), ("--seed", args.seed)):
+        if value is not None and route not in _READ_BY[flag]:
+            raise BadParameter(f"{route} does not read {flag}")
 
 
 class _Rejected(Exception):
@@ -215,7 +238,7 @@ def cmd_generate(args) -> tuple[Preorder, TotalPreorder | None]:
         if args.expected_bca:
             raise BadParameter("random family has no closed-form best "
                                "approximation; drop --expected-bca")
-        return _random_preorder(ground, density, args.seed), None
+        return _random_preorder(ground, density, args.seed or 0), None
     from .families import FamilySpec
 
     spec = FamilySpec(args.family, params)
@@ -302,8 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--emit", choices=["text", "json", "dot"], default="text",
                         help="output format, if the subcommand writes it")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized fixtures (generate random)")
+    parser.add_argument("--seed", type=int,
+                        help="seed for randomized fixtures (generate random, "
+                             "default 0)")
     parser.add_argument("--max-n", type=int, default=None, dest="max_n",
                         help="override the feasibility guard of the wrapped "
                              "operation")
@@ -356,6 +380,7 @@ def main(argv=None) -> int:
               f"not {args.emit}", file=sys.stderr)
         return EXIT_SEMANTIC
     try:
+        _refuse_unread_flags(args)
         sys.stdout.write(formats[args.emit](command(args), args))
         return EXIT_OK
     except _Rejected as exc:

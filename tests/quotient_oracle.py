@@ -1,13 +1,16 @@
-"""Element-level routes that predate ``Preorder.quotient``, kept as oracles.
+"""Definitional routes the package replaced, kept as oracles.
 
-Each function here derives the indifference classes or the class order from
-the preorder's element rows on its own, the way the package did before every
-route read one cached quotient: an O(k^2) ``holds`` loop for class
-dominators, ``maximal_elements`` rescans for the layers, a pairwise
+Most functions here are element-level routes that predate
+``Preorder.quotient``: each derives the indifference classes or the class
+order from the preorder's element rows on its own, the way the package did
+before every route read one cached quotient: an O(k^2) ``holds`` loop for
+class dominators, ``maximal_elements`` rescans for the layers, a pairwise
 transitive reduction for the Hasse edges, and condition (*)'s inner index on
 a restricted ``Preorder`` per Y.  ``bca_duality`` is the duality route from
 before the index argmax moved into ``scoring.class_index``: it prices every
-completion, maximal or not, as a ``TotalPreorder``.
+completion, maximal or not, as a ``TotalPreorder``.  ``ksb_minimisers`` is
+the scan that ``metrics.verify_strict_optimality`` replaced by its closed
+form: it prices every total preorder by the KSB distance.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from preorder_bca import (
     Preorder,
     TotalPreorder,
     enumerate_completions,
+    enumerate_total_preorders,
+    ksb_distance,
     maximal_elements,
     top_difference_fast,
 )
@@ -196,3 +201,18 @@ def bca_duality(base: Preorder) -> ApproximationReport:
         index=best,
         method="duality",
     )
+
+
+def ksb_minimisers(base: Preorder) -> tuple[int, set[TotalPreorder]]:
+    """The least KSB distance from ``base`` over all Fubini(n) total
+    preorders, and the set of those attaining it."""
+    best = None
+    attaining = set()
+    for cand in enumerate_total_preorders(base.ground, max_n=base.n):
+        d = ksb_distance(base, cand)
+        if best is None or d < best:
+            best = d
+            attaining = {cand}
+        elif d == best:
+            attaining.add(cand)
+    return best, attaining

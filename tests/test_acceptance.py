@@ -36,6 +36,7 @@ from preorder_bca import (
 )
 from worked_examples import spec
 from conftest import random_preorder
+from quotient_oracle import ksb_minimisers
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -270,17 +271,21 @@ def test_criterion_8_strict_completion_optimality():
     for n in (1, 2, 3, 4):
         ground = GroundSet(tuple(f"e{i}" for i in range(n)))
         for base in enumerate_preorders(ground):
-            assert verify_strict_optimality(base).all_strict_attain
+            report = verify_strict_optimality(base)
+            minimum, minimisers = ksb_minimisers(base)
+            assert report.minimum == minimum
+            assert set(report.strict_completions) == minimisers
 
     report = verify_strict_optimality(spec("containment", z=2).build())
     assert report.minimum == 1
-    assert sorted(t.render() for t in report.attaining) == [
+    assert sorted(t.render() for t in report.strict_completions) == [
         "[{a,b}] > [{a}] > [{b}] > [{}]",
         "[{a,b}] > [{b}] > [{a}] > [{}]",
     ]
 
-    budget.done("every strict completion minimizes the pair metric, n <= 4; "
-                "two-element containment minimizers reproduced")
+    budget.done("the strict completions are exactly the pair-metric minimizers "
+                "and the minimum counts incomparable pairs, n <= 4; two-element "
+                "containment minimizers reproduced")
 
 
 def test_criterion_9_covering_radius():

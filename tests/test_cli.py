@@ -456,6 +456,36 @@ def test_family_flags_and_readme_table_match_the_family_table():
     assert flags == {kind: sorted(params) for kind, (params, _) in FAMILIES.items()}
 
 
+@pytest.mark.parametrize("argv, route, flag", [
+    (("--max-n", "12", "bca", "FILE"), "bca --method auto", "--max-n"),
+    (("--max-n", "3", "bca", "FILE", "--method", "auto"), "bca --method auto",
+     "--max-n"),
+    (("--max-n", "3", "check", "FILE"), "check", "--max-n"),
+    (("--max-n", "3", "canonical", "FILE"), "canonical", "--max-n"),
+    (("--max-n", "3", "dot", "FILE"), "dot", "--max-n"),
+    (("--max-n", "3", "generate", "chain", "--n", "3"), "generate chain",
+     "--max-n"),
+    (("--max-n", "3", "generate", "random", "--n", "3"), "generate random",
+     "--max-n"),
+    (("--max-n", "3", "metric", "FILE", "FILE"), "metric --metric top-diff",
+     "--max-n"),
+    (("--max-n", "3", "metric", "FILE", "FILE", "--metric", "ksb"),
+     "metric --metric ksb", "--max-n"),
+    (("--seed", "2", "check", "FILE"), "check", "--seed"),
+    (("--seed", "2", "bca", "FILE", "--method", "bruteforce"),
+     "bca --method bruteforce", "--seed"),
+    (("--seed", "2", "index", "FILE"), "index", "--seed"),
+    (("--seed", "0", "generate", "chain", "--n", "3"), "generate chain", "--seed"),
+    (("--seed", "2", "covering-radius", "--n", "2"), "covering-radius", "--seed"),
+])
+def test_a_flag_the_route_does_not_read_is_refused(capsys, tmp_path, argv,
+                                                    route, flag):
+    # the file is missing, so a refusal after reading it would exit 3
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run_cli(capsys, *(missing if a == "FILE" else a for a in argv))
+    assert (code, out, err) == (2, "", f"error: {route} does not read {flag}\n")
+
+
 def test_bca_theorem5_honours_max_n(capsys):
     code, _, err = run_cli(capsys, "--max-n", "0", "bca", fixture("ex5_base"),
                            "--method", "theorem5")

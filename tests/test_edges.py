@@ -83,7 +83,8 @@ _GUARDED = {
     "bca_bruteforce": lambda p, v: pb.bca_bruteforce(p, max_n=v),
     "covering_radius": lambda p, v: pb.covering_radius(p.ground, max_n=v),
     "top_difference_direct": lambda p, v: top_difference_direct(p, p, max_n=v),
-    "verify_strict_optimality": lambda p, v: pb.verify_strict_optimality(p, max_n=v),
+    "verify_strict_optimality":
+        lambda p, v: pb.verify_strict_optimality(p, max_classes=v),
     "enumerate_preorders": lambda p, v: list(enumerate_preorders(p.ground, max_n=v)),
     "enumerate_total_preorders":
         lambda p, v: list(enumerate_total_preorders(p.ground, max_n=v)),
@@ -110,12 +111,12 @@ def test_guard_override_must_be_an_integer(name):
     ("bca_bruteforce", "brute-force sweep"),
     ("covering_radius", "covering radius sweep"),
     ("top_difference_direct", "direct menu sweep"),
-    ("verify_strict_optimality", "strict-optimality sweep"),
     ("enumerate_preorders", "enumerating preorders"),
     ("enumerate_total_preorders", "enumerating total preorders"),
     ("bca_duality", "enumerating completions"),
     ("index_general", "enumerating completions"),
     ("enumerate_completions", "enumerating completions"),
+    ("verify_strict_optimality", "enumerating completions"),
     ("condition_star", "layer 1 subset sweep"),
     ("bca_theorem5", "layer 1 subset sweep"),
 ])
@@ -158,18 +159,6 @@ def test_streams_refuse_at_the_call():
             call()
 
 
-def test_strict_optimality_refuses_nothing_after_its_scan(monkeypatch):
-    # the strict completions run under the sweep's own limit, not the
-    # default class guard
-    from preorder_bca import completions
-
-    monkeypatch.setattr(completions, "MAX_COMPLETION_CLASSES", 3)
-    report = pb.verify_strict_optimality(spec("equality", n=4).build())
-    assert report.minimum == 6
-    assert (len(report.attaining), len(report.strict_completions)) == (24, 24)
-    assert report.all_strict_attain
-
-
 @pytest.mark.parametrize("name, expected", [
     ("enumerate_total_preorders", [("enumerating total preorders", 3, "elements")]),
     ("enumerate_preorders", [("enumerating preorders", 3, "elements")]),
@@ -177,9 +166,8 @@ def test_strict_optimality_refuses_nothing_after_its_scan(monkeypatch):
      [("enumerating completions", 2, "indifference classes")]),
     ("index_general", [("enumerating completions", 2, "indifference classes")]),
     ("bca_duality", [("enumerating completions", 2, "indifference classes")]),
-    ("verify_strict_optimality", [("strict-optimality sweep", 3, "elements"),
-                                  ("enumerating completions", 2,
-                                   "indifference classes")]),
+    ("verify_strict_optimality",
+     [("enumerating completions", 2, "indifference classes")]),
 ])
 def test_each_route_guards_each_size_once(monkeypatch, name, expected):
     from preorder_bca import completions, core, metrics, scoring, solver

@@ -6,6 +6,7 @@ import worked_examples as wx
 from preorder_bca import (
     BadParameter,
     GroundSet,
+    Preorder,
     TooLarge,
     enumerate_preorders,
     enumerate_total_preorders,
@@ -19,7 +20,9 @@ from preorder_bca import (
 from preorder_bca import _backend
 from worked_examples import spec
 from preorder_bca.core import mask_of
+from bases import SHAPES
 from conftest import random_preorder
+from quotient_oracle import ksb_minimisers
 
 
 def menu_sum_distance(p, q):
@@ -184,17 +187,16 @@ def test_strict_optimality_equality_base():
     eq = spec("equality", n=2).build()
     report = verify_strict_optimality(eq)
     assert report.minimum == 1
-    assert len(report.attaining) == 2
     assert len(report.strict_completions) == 2
-    assert report.all_strict_attain
+    assert (report.minimum, set(report.strict_completions)) == ksb_minimisers(eq)
 
 
 def test_strict_optimality_total_base():
     total = spec("chain", n=3).build()
     report = verify_strict_optimality(total)
     assert report.minimum == 0
-    assert [t.blocks for t in report.attaining] == [(1, 2, 4)]
-    assert report.all_strict_attain
+    assert [t.blocks for t in report.strict_completions] == [(1, 2, 4)]
+    assert (report.minimum, set(report.strict_completions)) == ksb_minimisers(total)
 
 
 def test_strict_optimality_containment_two_elements():
@@ -203,21 +205,42 @@ def test_strict_optimality_containment_two_elements():
     base = spec("containment", z=2).build()
     report = verify_strict_optimality(base)
     assert report.minimum == 1
-    assert sorted(t.render() for t in report.attaining) == [
+    assert sorted(t.render() for t in report.strict_completions) == [
         "[{a,b}] > [{a}] > [{b}] > [{}]",
         "[{a,b}] > [{b}] > [{a}] > [{}]",
     ]
-    assert sorted(t.render() for t in report.strict_completions) == sorted(
-        t.render() for t in report.attaining)
-    assert report.all_strict_attain
+    assert (report.minimum, set(report.strict_completions)) == ksb_minimisers(base)
     cardinality = spec("containment", z=2).expected_bca()
-    assert cardinality.blocks not in {t.blocks for t in report.attaining}
+    assert cardinality.blocks not in {t.blocks for t in report.strict_completions}
 
 
 def test_strict_optimality_random_preorders(rng):
     for _ in range(20):
         base = random_preorder(rng, 4)
         report = verify_strict_optimality(base)
-        assert report.all_strict_attain
+        assert (report.minimum, set(report.strict_completions)) == \
+            ksb_minimisers(base)
         for cand in report.strict_completions:
             assert is_completion(cand, base)
+
+
+@pytest.mark.parametrize("shape, n, seed", [
+    *((shape, 6, seed) for shape in sorted(SHAPES) for seed in range(5)),
+    ("layered", 7, 0), ("star_union", 7, 0),
+])
+def test_strict_optimality_matches_the_scan_past_five_elements(shape, n, seed):
+    # the closed form answers where the scan it replaced refused (n > 5)
+    base = Preorder(GroundSet(tuple(f"x{i}" for i in range(1, n + 1))),
+                    tuple(SHAPES[shape](seed, n)))
+    report = verify_strict_optimality(base)
+    assert len(set(report.strict_completions)) == len(report.strict_completions)
+    assert (report.minimum, set(report.strict_completions)) == ksb_minimisers(base)
+
+
+def test_strict_optimality_containment_three_elements():
+    # eight elements: 9 incomparable pairs, and 48 linear extensions of the
+    # Boolean lattice B_3
+    report = verify_strict_optimality(spec("containment", z=3).build())
+    assert report.minimum == 9
+    assert len(report.strict_completions) == 48
+    assert all(len(t.blocks) == 8 for t in report.strict_completions)

@@ -116,6 +116,13 @@ def test_help_lists_the_command_table_in_order(monkeypatch):
                       for command, (text, _, _) in cli.COMMANDS.items()]
 
 
+def test_readme_usage_block_lists_the_command_table_in_order():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("Subcommands:\n\n```\n", 1)[1].split("```", 1)[0]
+    assert re.findall(r"^preorder-bca (\S+)", block, re.MULTILINE) == \
+        list(cli.COMMANDS)
+
+
 def test_console_script_is_cli_main():
     # a regex, not tomllib, which Python 3.10 lacks
     scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]\n")[1]

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 import worked_examples as wx
 from preorder_bca import (
@@ -20,6 +20,7 @@ from preorder_bca import (
     top_difference_fast,
 )
 from preorder_bca import _backend
+from preorder_bca.core import iter_bits
 from bases import SHAPES
 from worked_examples import spec
 from conftest import random_preorder
@@ -386,3 +387,56 @@ def test_the_routes_agree_on_hard_bases(shape, n, seed):
         assert canonical in ties
     auto = bca_auto(base)
     assert [c.blocks for c in auto.bca_set] == ties and auto.complete_set
+
+
+def _poset(rows) -> Preorder:
+    return Preorder(GroundSet(tuple(f"x{i}" for i in range(1, len(rows) + 1))),
+                    tuple(rows))
+
+
+def _hard_rows(max_n: int):
+    return st.builds(lambda shape, n, seed: SHAPES[shape](seed, n),
+                     st.sampled_from(sorted(SHAPES)), st.integers(1, max_n),
+                     st.integers(0, 2**32 - 1))
+
+
+def _relabel(mask: int, perm) -> int:
+    return sum(1 << perm[i] for i in iter_bits(mask))
+
+
+# no explain phase: it traces every line run, which turns a failing
+# example's 8-element brute force from milliseconds into minutes
+@settings(max_examples=100, deadline=5000,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target,
+                  Phase.shrink))
+@given(_hard_rows(7), st.permutations(range(7)), _hard_rows(4), _hard_rows(4))
+def test_the_routes_keep_the_metamorphic_laws(rows, order, upper, lower):
+    """Brute force and duality give the answers two laws derive from brute
+    force's answers on smaller or relabelled bases.
+
+    Relabelling the elements by a permutation relabels the tie set and keeps
+    the distance and the index.  In the ordinal sum A + B, every element of A
+    above every element of B, the ties are each tie of A followed by each tie
+    of B, and the index and the distance are 2^|B| times A's plus B's."""
+    perm = [i for i in order if i < len(rows)]  # element i goes to perm[i]
+    moved = [0] * len(rows)
+    for i, row in enumerate(rows):
+        moved[perm[i]] = _relabel(row, perm)
+    a, b = len(upper), len(lower)
+    below = (1 << b) - 1
+    summed = [row | below << a for row in upper] + [row << a for row in lower]
+    plain = bca_bruteforce(_poset(rows))
+    top, bottom = bca_bruteforce(_poset(upper)), bca_bruteforce(_poset(lower))
+    for route in (bca_bruteforce, bca_duality):
+        relabelled = route(_poset(moved))
+        assert [c.blocks for c in relabelled.bca_set] == sorted(
+            tuple(_relabel(block, perm) for block in c.blocks)
+            for c in plain.bca_set)
+        assert (relabelled.distance, relabelled.index) == \
+            (plain.distance, plain.index)
+        whole = route(_poset(summed))
+        assert [c.blocks for c in whole.bca_set] == sorted(
+            t.blocks + tuple(block << a for block in s.blocks)
+            for t in top.bca_set for s in bottom.bca_set)
+        assert whole.index == (top.index << b) + bottom.index
+        assert whole.distance == (top.distance << b) + bottom.distance
