@@ -1,9 +1,10 @@
-"""The hot kernels: the closed-form distance, the definitional menu sweep,
-and the full argmin sweep over every ordered set partition of the ground set.
+"""The two kernels ``perfbench/tracer.py`` times, kept apart from their
+callers because it wraps them here by module and name: the closed-form
+distance behind ``metrics.top_difference_fast``, and the argmin sweep over
+every ordered set partition behind ``solver.bca_bruteforce`` and
+``solver.covering_radius``.
 
-The package calls these names, which ``perfbench/tracer.py`` traces.
-
-All three functions speak in strict-up-set bitmasks: ``up[x]`` has bit ``a``
+Both functions speak in strict-up-set bitmasks: ``up[x]`` has bit ``a``
 set iff element ``a`` is strictly above ``x`` in the relation.  Distances
 reach n * 2^n and stay exact because Python integers do not overflow.
 
@@ -30,26 +31,6 @@ def fast_distance(n: int, up_p: tuple[int, ...], up_q: tuple[int, ...]) -> int:
         b = up_q[x]
         alpha = n - 1 - (a | b).bit_count()
         total += (1 << (n - b.bit_count() - 1)) + (1 << (n - a.bit_count() - 1)) - (2 << alpha)
-    return total
-
-
-def direct_distance(n: int, up_p: tuple[int, ...], up_q: tuple[int, ...]) -> int:
-    # definitional sweep, regrouped per element: count menus S containing x
-    # where "x maximal in S" differs between the two relations.  x is maximal
-    # in S iff S meets none of x's strict dominators.
-    total = 0
-    full = (1 << n) - 1
-    for x in range(n):
-        a = up_p[x]
-        b = up_q[x]
-        rest = full & ~(1 << x)
-        t = 0
-        while True:
-            if ((t & a) == 0) != ((t & b) == 0):
-                total += 1
-            if t == rest:
-                break
-            t = (t - rest) & rest
     return total
 
 

@@ -177,8 +177,12 @@ def render_dot(p: Preorder, name: str = "hasse") -> str:
     """Graphviz digraph of the Hasse diagram, one node per indifference
     class, edges pointing downward; byte-stable.  Node ``n<c>`` is class
     ``c`` of the quotient, labelled with its members' labels, so labels that
-    contain commas cannot merge two nodes."""
+    contain commas cannot merge two nodes.  ``name`` is written unquoted."""
     _check_arguments(p)
+    if not (isinstance(name, str) and name.isidentifier()) or name.lower() in {
+            "graph", "digraph", "subgraph", "node", "edge", "strict"}:
+        raise BadParameter(f"graph name must be an identifier that is not a DOT "
+                           f"keyword, got {_short(name)}")
     q = p.quotient
     lines = [f"digraph {name} {{", "  rankdir=TB;"]
     lines.extend(f"  n{c} [label={_dot_quote(class_label(p, cls))}];"

@@ -32,7 +32,18 @@ def top_difference_direct(p: Preorder, q: Preorder,
     """
     _require_same_ground(p, q)
     guard(MAX_DIRECT_N, max_n, p.n, "direct menu sweep")
-    return _backend.direct_distance(p.n, p.strict_up, q.strict_up)
+    # x is maximal in the menu t | {x} iff t misses x's strict dominators:
+    # count the t of the other elements meeting exactly one of the two up-sets
+    total = 0
+    for x, (a, b) in enumerate(zip(p.strict_up, q.strict_up)):
+        rest = p.ground.full_mask & ~(1 << x)
+        t = rest
+        while True:
+            total += ((t & a) == 0) != ((t & b) == 0)
+            if not t:
+                break
+            t = (t - 1) & rest
+    return total
 
 
 def top_difference_fast(p: Preorder, q: Preorder) -> int:

@@ -4,7 +4,8 @@ Each generator takes a seed and a size n and returns the incidence rows of a
 poset on n elements (``rows[i]`` bit ``j`` set iff x_i >= x_j), reflexive and
 transitively closed, drawn from ``random.Random(seed)``.  The same seed and n
 always give the same rows.  Elements are placed in a shuffled order, so no
-shape is tied to the element numbering.
+shape is tied to the element numbering.  :func:`blow_up` turns a shape's
+poset into a preorder whose indifference classes have 1 to 3 elements.
 """
 
 import random
@@ -72,3 +73,19 @@ def layered(seed: int, n: int) -> list[int]:
 
 SHAPES = {"random_poset": random_poset, "star_union": star_union,
           "forest": forest, "layered": layered}
+
+
+def blow_up(shape: str, seed: int, n: int) -> list[int]:
+    """A preorder on n elements with indifference classes: a poset of
+    ``shape`` drawn on k points, each point replaced by a class of 1 to 3
+    elements (the last class cut so the sizes sum to n); x >= y iff x's
+    point is at or above y's.  Elements are placed in a shuffled order."""
+    rng = random.Random(seed)
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(rng.randint(1, 3), n - sum(sizes)))
+    point = [p for p, size in enumerate(sizes) for _ in range(size)]
+    rng.shuffle(point)
+    points = SHAPES[shape](rng.randrange(2**32), len(sizes))
+    return [sum(1 << y for y in range(n) if points[point[x]] >> point[y] & 1)
+            for x in range(n)]

@@ -598,8 +598,10 @@ def test_output_is_utf8_whatever_the_locale(tmp_path, capsys):
     (_doc_text(reflexive_closure=list(range(10_000))), "reflexive_closure must"),
     (_doc_text(pairs=[[0, int("9" * 4000)]]), "out of range"),
     (_doc_text(pairs=[[0, "N"]]).replace('"N"', "9" * 5000), "invalid JSON"),
+    ("[]", "document must be a JSON object"),
+    (_doc_text(labels=[]), "document needs at least one label"),
 ], ids=["nested-pair", "long-schema", "wide-schema", "long-label",
-        "long-flag", "huge-index", "over-long-integer"])
+        "long-flag", "huge-index", "over-long-integer", "json-array", "no-labels"])
 def test_offending_values_give_one_short_error_line(tmp_path, text, message):
     path = tmp_path / "doc.json"
     path.write_text(text)

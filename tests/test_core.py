@@ -61,26 +61,38 @@ def test_construction_checks_raise_invalid_relation():
 _AB = GroundSet(("a", "b"))
 
 
-@pytest.mark.parametrize("build, message", [
-    (lambda: Relation(_AB, 5), "relation rows must be a list or tuple of ints"),
-    (lambda: TotalPreorder(_AB, 5), "total preorder blocks must be a list or tuple of ints"),
-    (lambda: Preorder(_AB, None), "relation rows must be a list or tuple of ints"),
-    (lambda: Relation("ab", (1, 2)), "ground must be a GroundSet, got str"),
-    (lambda: TotalPreorder(None, (3,)), "ground must be a GroundSet, got NoneType"),
-    (lambda: Relation(_AB, (1, 2.0)), "relation rows must be a list or tuple of ints"),
-    (lambda: Preorder(_AB, (True, 2)), "relation rows must be a list or tuple of ints"),
-    (lambda: TotalPreorder(_AB, ("1", 2)), "total preorder blocks must be a list or tuple of ints"),
-    (lambda: TotalPreorder(_AB, (1, True)), "total preorder blocks must be a list or tuple of ints"),
-    (lambda: list(enumerate_preorders(3)), "ground must be a GroundSet, got int"),
-    (lambda: list(pb.enumerate_total_preorders(3)), "ground must be a GroundSet, got int"),
-    (lambda: pb.covering_radius(3), "ground must be a GroundSet, got int"),
-    (lambda: validate_preorder((1, 2)), "expected a Relation, got tuple"),
+@pytest.mark.parametrize("build, message, error", [
+    (lambda: Relation(_AB, 5), "relation rows must be a list or tuple of ints", BadParameter),
+    (lambda: TotalPreorder(_AB, 5),
+     "total preorder blocks must be a list or tuple of ints", BadParameter),
+    (lambda: Preorder(_AB, None), "relation rows must be a list or tuple of ints", BadParameter),
+    (lambda: Relation("ab", (1, 2)), "ground must be a GroundSet, got str", BadParameter),
+    (lambda: TotalPreorder(None, (3,)), "ground must be a GroundSet, got NoneType", BadParameter),
+    (lambda: Relation(_AB, (1, 2.0)),
+     "relation rows must be a list or tuple of ints", BadParameter),
+    (lambda: Preorder(_AB, (True, 2)),
+     "relation rows must be a list or tuple of ints", BadParameter),
+    (lambda: TotalPreorder(_AB, ("1", 2)),
+     "total preorder blocks must be a list or tuple of ints", BadParameter),
+    (lambda: TotalPreorder(_AB, (1, True)),
+     "total preorder blocks must be a list or tuple of ints", BadParameter),
+    (lambda: list(enumerate_preorders(3)), "ground must be a GroundSet, got int", BadParameter),
+    (lambda: list(pb.enumerate_total_preorders(3)),
+     "ground must be a GroundSet, got int", BadParameter),
+    (lambda: pb.covering_radius(3), "ground must be a GroundSet, got int", BadParameter),
+    (lambda: validate_preorder((1, 2)), "expected a Relation, got tuple", BadParameter),
+    (lambda: Relation(_AB, (1, 6)), "row 1 has bits outside the ground set", BadParameter),
+    (lambda: TotalPreorder(_AB, (3, 0)), "empty block in total preorder", BadParameter),
+    (lambda: TotalPreorder(_AB, (3, 1)), "overlapping blocks in total preorder", BadParameter),
+    (lambda: GroundSet(("a",), "x"),
+     "GroundSet() takes 1 positional arguments but 2 were given", TypeError),
 ], ids=["relation-int", "total-int", "preorder-none", "relation-str-ground",
         "total-none-ground", "row-float", "row-bool", "block-str", "block-bool",
         "enumerate-preorders-int", "enumerate-totals-int", "covering-radius-int",
-        "validate-tuple"])
-def test_malformed_arguments_raise_invalid_relation(build, message):
-    with pytest.raises(BadParameter, match=f"^{re.escape(message)}$"):
+        "validate-tuple", "row-outside-ground", "total-empty-block",
+        "total-overlapping-blocks", "record-extra-positional"])
+def test_malformed_arguments_raise_invalid_relation(build, message, error):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()
 
 

@@ -1,10 +1,12 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 import worked_examples as wx
 from preorder_bca import (
+    BadParameter,
     DocumentError,
     RelationDocument,
     ViolationError,
@@ -15,6 +17,7 @@ from preorder_bca import (
     parse_document,
     render_dot,
 )
+from preorder_bca.families import FAMILIES
 from worked_examples import spec
 
 
@@ -40,6 +43,9 @@ def test_parse_minimal_document():
 
 
 def test_parse_rejects_bad_documents():
+    for text in ("[]", "5", '"preorder-doc/1"', "null"):
+        with pytest.raises(DocumentError, match="^document must be a JSON object$"):
+            parse_document(text)
     with pytest.raises(DocumentError):
         parse_document("not json at all")
     with pytest.raises(DocumentError):
@@ -81,7 +87,8 @@ def test_parse_leaves_value_checks_to_the_record():
                             ({"labels": [1]}, "^labels must be a list of strings$"),
                             ({"pairs": "ab"}, "^pairs must be a list or tuple, got 'ab'$"),
                             ({"pairs": [[0, 1, 2]]}, r"^bad pair entry: \[0, 1, 2\]$"),
-                            ({"pairs": [[0, 2]]}, r"^pair \(0, 2\) is out of range")):
+                            ({"pairs": [[0, 2]]}, r"^pair \(0, 2\) is out of range"),
+                            ({"labels": []}, "^document needs at least one label$")):
         with pytest.raises(DocumentError, match=message):
             parse_document(json.dumps({**base, **fields}))
     assert parse_document(json.dumps({**base, "pairs": [[1, 0]]})).pairs == ((1, 0),)
@@ -103,7 +110,8 @@ def test_constructor_checks_labels_and_flags_as_parsing_does():
                                 **fields})
     # the containers are lists or tuples, stored as tuples, so the document
     # hashes; a string is not a list of labels
-    for fields, message in (({"labels": 5}, "labels must be a list or tuple"),
+    for fields, message in (({"labels": ()}, "^document needs at least one label$"),
+                            ({"labels": 5}, "labels must be a list or tuple"),
                             ({"labels": "abc"}, "labels must be a list or tuple"),
                             ({"pairs": 5}, "pairs must be a list or tuple"),
                             ({"pairs": {(0, 1)}}, "pairs must be a list or tuple")):
@@ -196,3 +204,21 @@ def test_render_dot_comma_label_and_class_stay_apart():
 def test_render_dot_stable():
     base = wx.example8_base()
     assert render_dot(base) == render_dot(base)
+
+
+@pytest.mark.parametrize("name, shown", [
+    ("my graph", "'my graph'"), ("", "''"), ("1st", "'1st'"), ("a-b", "'a-b'"),
+    ("graph", "'graph'"), ("Digraph", "'Digraph'"), ("SUBGRAPH", "'SUBGRAPH'"),
+    ("node", "'node'"), ("Edge", "'Edge'"), ("strict", "'strict'"),
+    (None, "None"), (5, "5"), (b"hasse", "b'hasse'"),
+])
+def test_render_dot_refuses_a_name_graphviz_cannot_parse(name, shown):
+    with pytest.raises(BadParameter, match="^graph name must be an identifier that is "
+                                           f"not a DOT keyword, got {re.escape(shown)}$"):
+        render_dot(spec("chain", n=2).build(), name=name)
+
+
+def test_render_dot_takes_every_name_the_cli_writes():
+    base = spec("chain", n=2).build()
+    for name in ("hasse", "bca0", "bca12", "canonical", *FAMILIES):
+        assert render_dot(base, name=name).startswith(f"digraph {name} {{\n")

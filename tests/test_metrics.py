@@ -159,7 +159,10 @@ def test_fast_distance_past_word_size():
 def test_pure_direct_matches_bruteforce_definition():
     # one tiny hand case: chain a>b against the flat relation
     # menus {a,b}: maximal sets {a} vs {a,b} -> delta 1; singletons agree
-    assert _backend.direct_distance(2, (0, 1), (0, 0)) == 1
+    ground = GroundSet(("a", "b"))
+    chain, flat = Preorder(ground, (0b11, 0b10)), Preorder(ground, (0b01, 0b10))
+    assert chain.strict_up == (0, 1) and flat.strict_up == (0, 0)
+    assert top_difference_direct(chain, flat) == 1
     assert _backend.fast_distance(2, (0, 1), (0, 0)) == 1
 
 

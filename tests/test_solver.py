@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 import worked_examples as wx
 from preorder_bca import (
@@ -21,7 +21,7 @@ from preorder_bca import (
 )
 from preorder_bca import _backend
 from preorder_bca.core import iter_bits
-from bases import SHAPES
+from bases import SHAPES, blow_up
 from worked_examples import spec
 from conftest import random_preorder
 
@@ -365,16 +365,34 @@ def test_bca_members_maximal_random_n5(rng):
             assert is_maximal_completion(cand, base)
 
 
+def _hard_base(shape: str, n: int, seed: int, classes: bool) -> Preorder:
+    """A ``tests/bases.py`` base; with ``classes``, its blow-up."""
+    rows = blow_up(shape, seed, n) if classes else SHAPES[shape](seed, n)
+    return Preorder(GroundSet(tuple(f"x{i}" for i in range(1, n + 1))), tuple(rows))
+
+
+def _twin_groups(base: Preorder) -> list[int]:
+    """The element masks of the groups of two or more twins: classes with
+    equal ``up`` and equal ``down`` masks on the quotient, so incomparable."""
+    q = base.quotient
+    groups: dict[tuple[int, int], list[int]] = {}
+    for c, members in enumerate(q.classes):
+        groups.setdefault((q.up[c], q.down[c]), []).append(members)
+    return [sum(group) for group in groups.values() if len(group) > 1]
+
+
 @settings(max_examples=700, deadline=5000)
 @given(st.sampled_from(sorted(SHAPES)), st.sampled_from(range(1, 8)),
-       st.integers(0, 2**32 - 1))
-def test_the_routes_agree_on_hard_bases(shape, n, seed):
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_the_routes_agree_on_hard_bases(shape, n, seed, classes):
     """Brute force, duality, the index, theorem 5 and auto answer alike on
-    the shared hard bases of ``tests/bases.py``."""
-    base = Preorder(GroundSet(tuple(f"x{i}" for i in range(1, n + 1))),
-                    tuple(SHAPES[shape](seed, n)))
+    the shared hard bases of ``tests/bases.py`` and their blow-ups, and no
+    member of brute force's tie set puts two twins in different blocks."""
+    base = _hard_base(shape, n, seed, classes)
     brute = bca_bruteforce(base)
     ties = [c.blocks for c in brute.bca_set]
+    for group in _twin_groups(base):
+        assert all(block & group in (0, group) for member in ties for block in member)
     duality = bca_duality(base)
     assert [c.blocks for c in duality.bca_set] == ties
     assert duality.distance == brute.distance
@@ -387,6 +405,26 @@ def test_the_routes_agree_on_hard_bases(shape, n, seed):
         assert canonical in ties
     auto = bca_auto(base)
     assert [c.blocks for c in auto.bca_set] == ties and auto.complete_set
+
+
+@settings(max_examples=150, deadline=5000)
+@given(st.sampled_from(sorted(SHAPES)), st.sampled_from(range(2, 8)),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_merging_twins_keeps_the_ties_and_the_index(shape, n, seed, classes):
+    """Making a twin group one indifference class leaves brute force's and
+    duality's tie sets, as blocks, and the index as they were on the base."""
+    base = _hard_base(shape, n, seed, classes)
+    groups = _twin_groups(base)
+    assume(groups)
+    brute = bca_bruteforce(base)
+    for group in groups:
+        # a row meeting the group is a member's, or one above the whole group
+        merged = Preorder(base.ground, tuple(row | group if row & group else row
+                                             for row in base.rows))
+        for route in (bca_bruteforce, bca_duality):
+            report = route(merged)
+            assert [c.blocks for c in report.bca_set] == [c.blocks for c in brute.bca_set]
+            assert report.index == brute.index
 
 
 def _poset(rows) -> Preorder:
