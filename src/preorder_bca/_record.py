@@ -70,8 +70,8 @@ def record(cls):
 
     def bind(args, kwargs):
         if len(args) > count:
-            raise TypeError(f"{cls.__name__}() takes {count} positional "
-                            f"arguments but {len(args)} were given")
+            raise TypeError(f"{cls.__name__}() takes {count} positional argument"
+                            f"{'s' * (count != 1)} but {len(args)} were given")
         bound = list(args)
         for name in names[len(args):]:
             if name in kwargs:

@@ -58,8 +58,7 @@ _FAMILY_FLAGS = ("z", "k", "m", "n", "alphabet")
 # other route before the command runs.
 _READ_BY = {
     "--max-n": ("metric --metric top-diff-direct", "bca --method bruteforce",
-                "bca --method duality", "bca --method theorem5", "index",
-                "condition-star", "covering-radius"),
+                "bca --method duality", "index", "covering-radius"),
     "--seed": ("generate random",),
 }
 
@@ -172,7 +171,7 @@ def cmd_bca(args) -> ApproximationReport:
         return bca_bruteforce(base, max_n=args.max_n)
     if args.method == "duality":
         return bca_duality(base, max_classes=args.max_n)
-    report = bca_theorem5(base, max_layer=args.max_n)
+    report = bca_theorem5(base)
     if report is None:
         raise _Rejected("not applicable: condition (*) fails for this relation\n")
     return report
@@ -194,7 +193,7 @@ def cmd_condition_star(args) -> tuple[Preorder, ConditionStarReport]:
     from .solver import condition_star
 
     base = _load_preorder(args.file)
-    return base, condition_star(base, max_layer=args.max_n)
+    return base, condition_star(base)
 
 
 def _star_text(value: tuple[Preorder, ConditionStarReport], args) -> str:

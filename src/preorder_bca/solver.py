@@ -45,7 +45,6 @@ from .metrics import top_difference_fast
 from .scoring import class_index, index_total
 
 MAX_BRUTEFORCE_N = 9
-MAX_CONDITION_LAYER = 16
 MAX_COVERING_N = 4
 
 STRICT = "strict"
@@ -138,49 +137,51 @@ def bca_duality(base: Preorder, max_classes: int | None = None) -> Approximation
                    "duality")
 
 
-def condition_star(base: Preorder, max_layer: int | None = None) -> ConditionStarReport:
+def condition_star(base: Preorder) -> ConditionStarReport:
     """Check the layer condition: for every layer M_i and nonempty proper
     subset S of M_i, the index of the restriction to Y stays below
     2^(|S|+|Y|), where Y collects the elements strictly below some member of
-    S but below no member of M_i outside S (an empty Y holds trivially).  Y
-    depends only on the classes wholly inside S with something below them,
-    and other members of S only loosen the bound, so S runs over the unions
-    of those classes short of the layer, and Y is a class mask of the quotient."""
+    S but below no member of M_i outside S (an empty Y holds trivially).
+
+    A class is in Y exactly when S holds its cover, the classes of M_i above
+    it, so the least S with a given Y is the union of its classes' covers and
+    any other S with that Y only loosens the bound: S runs over the unions of
+    covers short of M_i, one per Y, in class-mask order.  Y's index is at
+    most |Y| 2^|Y|, so S binds only if |Y| >= 2^|S|.  S holds at most |S|
+    classes, so |Y| is at most the sum of the |S| largest down-set sizes of
+    M_i's classes; once short of 2^|S| that sum stays short for larger S."""
     _check_arguments(base)
     q = base.quotient
-    # refuse before sweeping any layer; a one-class layer is not swept
-    swept = [mask_of(c for c in iter_bits(m) if q.down[c]) if m & (m - 1) else 0
-             for m in q.layers]
-    counts = [u.bit_count() for u in swept]
-    widest = max(counts)
-    guard(MAX_CONDITION_LAYER, max_layer, widest,
-          f"layer {counts.index(widest) + 1} subset sweep", "indifference classes")
     witnesses: list[ConditionStarWitness] = []
-    for i, (layer, classes) in enumerate(zip(q.layers, swept), start=1):
-        u = (0 - classes) & classes
-        while u:
-            below = [0, 0]  # the down-sets of the classes outside U, inside U
-            for c in iter_bits(classes):
-                below[u >> c & 1] |= q.down[c]
-            y = below[1] & ~below[0]
-            if y and u != layer:
-                try:
-                    value = class_index(q, y)[0]
-                except TooLarge as exc:  # name the layer whose Y was refused
-                    raise TooLarge(f"layer {i}, Y: {exc}") from None
-                bound = 1 << sum(q.sizes[c] for c in iter_bits(u | y))
-                if value >= bound:
-                    witnesses.append(ConditionStarWitness(
-                        i, q.expand(u), q.expand(y), value, bound))
-            u = (u - classes) & classes
+    for i, layer in enumerate(q.layers, start=1):
+        covers = [(b, up & layer) for b, up in enumerate(q.up) if up & layer]
+        reach = sorted(q.expand(q.down[a]).bit_count() for a in iter_bits(layer))[::-1]
+        most = 0  # the largest |S| that can bind
+        while sum(reach[:most + 1]) >= 2 << most:
+            most += 1
+        unions = {0}
+        for cover in {cover for _, cover in covers}:
+            unions |= {u | cover for u in unions
+                       if q.expand(u | cover).bit_count() <= most}
+        for u in sorted(unions - {0, layer}):
+            y = mask_of(b for b, cover in covers if not cover & ~u)
+            subset, below = q.expand(u), q.expand(y)
+            if below.bit_count() < 1 << subset.bit_count():
+                continue
+            try:
+                value = class_index(q, y)[0]
+            except TooLarge as exc:  # name the layer whose Y was refused
+                raise TooLarge(f"layer {i}, Y: {exc}") from None
+            bound = 1 << (subset | below).bit_count()
+            if value >= bound:
+                witnesses.append(ConditionStarWitness(i, subset, below, value, bound))
     witnesses.sort(key=lambda w: (w.layer, w.subset))
     verdict = (FAILS if any(w.index_value > w.bound for w in witnesses)
                else WEAK if witnesses else STRICT)
     return ConditionStarReport(verdict, tuple(witnesses))
 
 
-def bca_theorem5(base: Preorder, max_layer: int | None = None
-                 ) -> ApproximationReport | None:
+def bca_theorem5(base: Preorder) -> ApproximationReport | None:
     """Canonical-completion fast path.
 
     Returns the unique answer when the layer condition holds strictly, a
@@ -188,7 +189,7 @@ def bca_theorem5(base: Preorder, max_layer: int | None = None
     completion belongs to the answer but other members may exist), and None
     when the condition fails.  The report carries the condition (*) report.
     """
-    star = condition_star(base, max_layer=max_layer)
+    star = condition_star(base)
     if star.verdict == FAILS:
         return None
     return _report(base, [layers(base)], "theorem5", star=star)
@@ -198,8 +199,8 @@ def bca_auto(base: Preorder) -> ApproximationReport:
     """Cheapest certain route, chosen by one condition (*) check: theorem 5
     when the verdict is strict, else duality, whose class guard refuses no
     base brute force could take (classes <= elements).  The report carries
-    the verdict: with default guards the check refuses only a base of more
-    classes than duality's guard, so auto refuses it too."""
+    the verdict.  The check refuses only a Y of more classes than duality's
+    guard, so the base is past that guard too and auto refuses it."""
     star = condition_star(base)
     if star.verdict == STRICT:
         return _report(base, [layers(base)], "theorem5", star=star)

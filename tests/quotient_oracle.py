@@ -31,13 +31,15 @@ from preorder_bca.errors import BadParameter, TooLarge
 from preorder_bca.scoring import index_total
 from preorder_bca.solver import (
     FAILS,
-    MAX_CONDITION_LAYER,
     STRICT,
     WEAK,
     ApproximationReport,
     ConditionStarReport,
     ConditionStarWitness,
 )
+
+# the element-level sweep's own guard on a layer's width in elements
+MAX_CONDITION_LAYER = 16
 
 
 def restrict(p: Preorder, members: int) -> Preorder:

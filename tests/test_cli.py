@@ -103,14 +103,14 @@ def test_bca_guard_exit_code(capsys):
 
 def test_bca_auto_refusal_is_the_completion_guard(tmp_path, capsys):
     # auto has no brute-force fallback: condition (*)'s inner completion guard
-    # refuses a Y of 11 classes before duality could see all 32
-    message = ("layer 2, Y: enumerating completions on 11 indifference classes "
+    # refuses a Y of 11 classes before duality could see all 64
+    message = ("layer 3, Y: enumerating completions on 11 indifference classes "
                "exceeds the guard (9)")
     with pytest.raises(TooLarge, match=f"^{re.escape(message)}$"):
-        bca_auto(spec("containment", z=5).build())
-    code, out, _ = run_cli(capsys, "generate", "containment", "--z", "5")
+        bca_auto(spec("coordinatewise", m=8).build())
+    code, out, _ = run_cli(capsys, "generate", "coordinatewise", "--m", "8")
     assert code == 0
-    doc = tmp_path / "containment5.json"
+    doc = tmp_path / "coordinatewise8.json"
     doc.write_text(out)
     code, out, err = run_cli(capsys, "bca", str(doc))
     assert (code, out, err) == (4, "", f"guard: {message}\n")
@@ -477,6 +477,9 @@ def test_family_flags_and_readme_table_match_the_family_table():
     (("--seed", "2", "index", "FILE"), "index", "--seed"),
     (("--seed", "0", "generate", "chain", "--n", "3"), "generate chain", "--seed"),
     (("--seed", "2", "covering-radius", "--n", "2"), "covering-radius", "--seed"),
+    (("--max-n", "3", "bca", "FILE", "--method", "theorem5"),
+     "bca --method theorem5", "--max-n"),
+    (("--max-n", "3", "condition-star", "FILE"), "condition-star", "--max-n"),
 ])
 def test_a_flag_the_route_does_not_read_is_refused(capsys, tmp_path, argv,
                                                     route, flag):
@@ -484,13 +487,6 @@ def test_a_flag_the_route_does_not_read_is_refused(capsys, tmp_path, argv,
     missing = str(tmp_path / "missing.json")
     code, out, err = run_cli(capsys, *(missing if a == "FILE" else a for a in argv))
     assert (code, out, err) == (2, "", f"error: {route} does not read {flag}\n")
-
-
-def test_bca_theorem5_honours_max_n(capsys):
-    code, _, err = run_cli(capsys, "--max-n", "0", "bca", fixture("ex5_base"),
-                           "--method", "theorem5")
-    assert code == 4
-    assert err.startswith("guard:")
 
 
 def test_bca_computes_condition_star_once(tmp_path, capsys, monkeypatch):
@@ -522,13 +518,13 @@ def test_bca_computes_condition_star_once(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "bca", fixture("ex5_base"))
     assert (code, [args[2] for args in reports]) == (0, ["duality"])
     # a refusal of condition (*)'s guard is not retried
-    code, out, _ = run_cli(capsys, "generate", "containment", "--z", "5")
-    doc = tmp_path / "containment5.json"
+    code, out, _ = run_cli(capsys, "generate", "coordinatewise", "--m", "8")
+    doc = tmp_path / "coordinatewise8.json"
     doc.write_text(out)
     calls.clear()
     code, out, err = run_cli(capsys, "bca", str(doc))
     assert (code, out, len(calls)) == (4, "", 1)
-    assert err == ("guard: layer 2, Y: enumerating completions on 11 "
+    assert err == ("guard: layer 3, Y: enumerating completions on 11 "
                    "indifference classes exceeds the guard (9)\n")
 
 

@@ -29,7 +29,7 @@ VALID = {
 WRONG = {
     **dict.fromkeys(("p", "q", "base", "cand", "rel", "ground", "labels", "doc",
                      "text"), (3,)),
-    **dict.fromkeys(("x", "s", "max_n", "max_classes", "max_layer"), ("x", True)),
+    **dict.fromkeys(("x", "s", "max_n", "max_classes"), ("x", True)),
     "sizes": (["x"], [True]),
     "params": ({"n": "x"}, {"n": True}),
 }

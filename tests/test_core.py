@@ -85,7 +85,7 @@ _AB = GroundSet(("a", "b"))
     (lambda: TotalPreorder(_AB, (3, 0)), "empty block in total preorder", BadParameter),
     (lambda: TotalPreorder(_AB, (3, 1)), "overlapping blocks in total preorder", BadParameter),
     (lambda: GroundSet(("a",), "x"),
-     "GroundSet() takes 1 positional arguments but 2 were given", TypeError),
+     "GroundSet() takes 1 positional argument but 2 were given", TypeError),
 ], ids=["relation-int", "total-int", "preorder-none", "relation-str-ground",
         "total-none-ground", "row-float", "row-bool", "block-str", "block-bool",
         "enumerate-preorders-int", "enumerate-totals-int", "covering-radius-int",

@@ -92,8 +92,6 @@ _GUARDED = {
     "index_general": lambda p, v: index_general(p, max_classes=v),
     "enumerate_completions":
         lambda p, v: list(enumerate_completions(p, max_classes=v)),
-    "condition_star": lambda p, v: condition_star(p, max_layer=v),
-    "bca_theorem5": lambda p, v: pb.bca_theorem5(p, max_layer=v),
 }
 
 
@@ -117,17 +115,11 @@ def test_guard_override_must_be_an_integer(name):
     ("index_general", "enumerating completions"),
     ("enumerate_completions", "enumerating completions"),
     ("verify_strict_optimality", "enumerating completions"),
-    ("condition_star", "layer 1 subset sweep"),
-    ("bca_theorem5", "layer 1 subset sweep"),
 ])
 def test_element_guard_messages(name, message):
-    # the two-element antichain: two elements, two classes, one layer of two.
-    # Condition (*) counts the classes it sweeps, those with something below,
-    # so it reads the fence x1 < x2 > x3 < x4, whose top layer has two
+    # the two-element antichain: two elements, two classes, one layer of two
     base, unit = spec("equality", n=2).build(), "elements"
-    if message == "layer 1 subset sweep":
-        base = spec("fence", k=4).build()
-    if message in ("enumerating completions", "layer 1 subset sweep"):
+    if message == "enumerating completions":
         unit = "indifference classes"
     with pytest.raises(TooLarge, match=rf"^{message} on 2 {unit} exceeds the "
                                        r"guard \(1\)$"):

@@ -12,7 +12,9 @@ from preorder_bca import (
     Preorder,
     PreorderBcaError,
     Relation,
+    TooLarge,
     ViolationError,
+    bca_auto,
     bca_bruteforce,
     canonical_completion,
     condition_star,
@@ -24,7 +26,7 @@ from preorder_bca import (
     validate_preorder,
 )
 from preorder_bca.families import FAMILIES
-from preorder_bca.core import iter_bits
+from preorder_bca.core import MAX_GROUND, iter_bits
 from worked_examples import spec
 
 
@@ -224,6 +226,39 @@ def test_prefix_orders_satisfy_condition_at_larger_sizes():
         assert condition_star(p).verdict == "strict"
         assert canonical_completion(p) == \
             spec("word_prefix", alphabet=alphabet, k=k).expected_bca()
+
+
+# the accepted specs whose condition (*) check is refused, with its refusal
+REFUSED_VERDICTS = {
+    ("coordinatewise", 7): "layer 4, Y: enumerating completions on 12 "
+                           "indifference classes exceeds the guard (9)",
+    ("coordinatewise", 8): "layer 3, Y: enumerating completions on 11 "
+                           "indifference classes exceeds the guard (9)",
+}
+
+
+def test_every_accepted_family_is_strict_and_answered_by_theorem5():
+    # every spec the family table accepts, parameters in 1..MAX_GROUND
+    specs = []
+    for kind, (names, _) in FAMILIES.items():
+        for values in product(range(1, MAX_GROUND + 1), repeat=len(names)):
+            try:
+                specs.append(FamilySpec(kind, dict(zip(names, values))))
+            except BadParameter:
+                continue
+    assert len(specs) == 372
+    for family in specs:
+        base = family.build()
+        refusal = REFUSED_VERDICTS.get((family.kind, *family.params.values()))
+        if refusal:
+            for route in (condition_star, bca_auto):
+                with pytest.raises(TooLarge, match=f"^{re.escape(refusal)}$"):
+                    route(base)
+            continue
+        report = bca_auto(base)
+        assert (report.method, report.condition_star.verdict) == \
+            ("theorem5", "strict"), family
+        assert report.bca_set == (family.expected_bca(),), family
 
 
 def _small_specs(kind, max_n=6):

@@ -230,13 +230,25 @@ def test_bca_auto_routes():
 
 def test_condition_star_guard_counts_the_classes_a_layer_sweeps():
     # fence(8)'s top layer holds four classes, each above one or two bottoms
-    fence = spec("fence", k=8).build()
-    assert condition_star(fence, max_layer=4) == condition_star(fence)
-    with pytest.raises(TooLarge, match=r"^layer 1 subset sweep on 4 indifference "
-                                       r"classes exceeds the guard \(3\)$"):
-        condition_star(fence, max_layer=3)
+    report = condition_star(spec("fence", k=8).build())
+    assert (report.verdict, report.witnesses) == ("strict", ())
     # 64 classes with nothing below are not swept at all
-    assert condition_star(spec("equality", n=64).build(), max_layer=0).verdict == "strict"
+    assert condition_star(spec("equality", n=64).build()).verdict == "strict"
+
+
+def test_condition_star_lists_only_the_least_s_per_y():
+    # a is above the class y1..y4, and c and d are each above z.  S = {a}
+    # binds: index 64 against bound 32.  {a,c} and {a,d} have the same Y and
+    # a larger S, so their pairs are implied by {a}'s and are not listed
+    ys = [f"y{i}" for i in range(1, 5)]
+    base = wx.closure_preorder(
+        ["a", "c", "d", *ys, "z"],
+        [("a", ys[0]), *((y, v) for y in ys for v in ys), ("c", "z"), ("d", "z")])
+    report = condition_star(base)
+    labels = base.ground.label_set
+    assert report.verdict == "fails"
+    assert [(w.layer, labels(w.subset), labels(w.below), w.index_value, w.bound)
+            for w in report.witnesses] == [(1, ("a",), tuple(ys), 64, 32)]
 
 
 def test_bruteforce_guard():
