@@ -20,11 +20,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": (
         "GroundSet", "Mask", "Preorder", "Relation", "TotalPreorder",
-        "down_set", "incomparable_witness", "is_completion", "is_total",
-        "layers", "maximal_elements", "to_total", "validate_preorder",
+        "canonical_completion", "down_set", "incomparable_witness",
+        "is_completion", "is_total", "layers", "maximal_elements", "to_total",
+        "validate_preorder",
     ),
     "completions": (
-        "canonical_completion", "enumerate_completions", "enumerate_preorders",
+        "enumerate_completions", "enumerate_preorders",
         "enumerate_total_preorders", "is_maximal_completion",
     ),
     "documents": (

@@ -11,8 +11,8 @@ guard.  Output is deterministic UTF-8: labels pass through unchanged, and
 No color is ever emitted, so NO_COLOR is honored trivially.
 
 Each command imports the solver-side modules it calls when it runs, so a
-process loads only what its subcommand needs: ``check`` and ``dot`` stop at
-documents and core, ``canonical`` adds completions.
+process loads only what its subcommand needs: ``check``, ``dot`` and
+``canonical`` stop at documents and core.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from .core import (
     GroundSet,
     Preorder,
     TotalPreorder,
+    canonical_completion,
+    class_label,
     incomparable_witness,
     transitive_closure_rows,
 )
@@ -184,8 +186,6 @@ def cmd_index(args) -> int:
 
 
 def cmd_canonical(args) -> TotalPreorder:
-    from .completions import canonical_completion
-
     return canonical_completion(_load_preorder(args.file))
 
 
@@ -201,9 +201,8 @@ def _star_text(value: tuple[Preorder, ConditionStarReport], args) -> str:
     text = f"verdict: {report.verdict}\n"
     if report.witnesses:
         w = report.witnesses[0]
-        labels = base.ground.label_set
-        text += (f"witness: layer {w.layer}, S={{{','.join(labels(w.subset))}}}, "
-                 f"Y={{{','.join(labels(w.below))}}}, index {w.index_value}, "
+        text += (f"witness: layer {w.layer}, S={{{class_label(base, w.subset)}}}, "
+                 f"Y={{{class_label(base, w.below)}}}, index {w.index_value}, "
                  f"bound {w.bound}\n")
     return text
 

@@ -1,4 +1,4 @@
-"""Enumeration of total preorders, completions, and canonical completions.
+"""Enumeration of total preorders and completions.
 
 Streams are deterministic: ordered set partitions are produced depth-first
 with each block drawn in increasing bitmask order, so two runs over the same
@@ -28,7 +28,6 @@ from .core import (
     guard,
     is_completion,
     iter_bits,
-    layers,
     mask_of,
     to_total,
 )
@@ -93,12 +92,13 @@ def class_blocks(up: tuple[Mask, ...], classes: Mask,
         for c in iter_bits(remaining):
             if up[c] & remaining == 0:
                 placeable |= 1 << c
-        # the block must meet ``required``; strict blocks hold one class
-        # (see enumerate_completions)
+        # the block must meet ``required``; strict blocks hold one class, and
+        # a maximal one takes every class once no strict pair is left to
+        # cross a split (see enumerate_completions)
         required = placeable
         if maximal_only and prev:
             required = mask_of(c for c in iter_bits(placeable) if up[c] & prev)
-        s = (0 - placeable) & placeable
+        s = placeable if maximal_only and placeable == remaining else placeable & -placeable
         while s:
             if s & required and not (strict_only and s & (s - 1)):
                 stack.append(s)
@@ -121,12 +121,6 @@ def is_maximal_completion(cand: Preorder, base: Preorder) -> bool:
         if not any(below[x] & lower for x in iter_bits(upper)):
             return False
     return True
-
-
-def canonical_completion(base: Preorder) -> TotalPreorder:
-    """Total preorder whose blocks are the iterated maximal layers of ``base``."""
-    _check_arguments(base)
-    return TotalPreorder(base.ground, layers(base))
 
 
 def enumerate_preorders(ground: GroundSet,

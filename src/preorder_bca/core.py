@@ -123,12 +123,11 @@ class Relation:
 @record
 class Quotient:
     """The strict order a preorder induces on its indifference classes: the
-    ``classes`` (element masks, by smallest member) and their ``sizes``, then,
-    as masks over class indices, ``up[c]`` and ``down[c]`` (the classes
-    strictly above and below class ``c``) and the maximal ``layers``, top first."""
+    ``classes`` (element masks, by smallest member), then, as masks over class
+    indices, ``up[c]`` and ``down[c]`` (the classes strictly above and below
+    class ``c``) and the maximal ``layers``, top first."""
 
     classes: tuple[Mask, ...]
-    sizes: tuple[int, ...]
     up: tuple[Mask, ...]
     down: tuple[Mask, ...]
     layers: tuple[Mask, ...]
@@ -166,10 +165,8 @@ class Preorder(Relation):
 
     @lazy
     def strict_down(self) -> tuple[Mask, ...]:
-        # strict_down[x] = {a : x > a}: x's row less its column {a : a >= x}
-        rows = self.rows
-        return tuple(mask_of(a for a in iter_bits(row) if not (rows[a] >> x) & 1)
-                     for x, row in enumerate(rows))
+        # strict_down[x] = {a : x > a}, the converse of strict_up
+        return _transpose(self.strict_up)
 
     @lazy
     def quotient(self) -> Quotient:
@@ -177,28 +174,32 @@ class Preorder(Relation):
         sym = [row & ~down for row, down in zip(self.rows, self.strict_down)]
         reps = [x for x in range(self.n) if not sym[x] & ((1 << x) - 1)]
         classes = tuple(sym[x] for x in reps)
-        # the classes meeting each head's strict up-set, then its down-set
-        up, down = (tuple(mask_of(c for c, m in enumerate(classes) if m & strict[x])
-                          for x in reps)
-                    for strict in (self.strict_up, self.strict_down))
+        # the classes meeting each head's strict up-set
+        up = tuple(mask_of(c for c, m in enumerate(classes) if m & self.strict_up[x])
+                   for x in reps)
         layers, remaining = [], (1 << len(classes)) - 1
         while remaining:
             layers.append(mask_of(c for c in iter_bits(remaining) if not up[c] & remaining))
             remaining ^= layers[-1]
-        return Quotient(classes, tuple(c.bit_count() for c in classes), up, down,
-                        tuple(layers))
+        return Quotient(classes, up, _transpose(up), tuple(layers))
 
 
-def _strict_up(rows) -> tuple[Mask, ...]:
-    """strict_up[x] = {a : a > x}: x's column {a : a >= x} less its row."""
-    cols = [0] * len(rows)
-    for i, row in enumerate(rows):
+def _transpose(masks) -> tuple[Mask, ...]:
+    """The converse of a relation given by its rows: bit i of ``out[j]`` is
+    set exactly when bit j of ``masks[i]`` is set."""
+    cols = [0] * len(masks)
+    for i, row in enumerate(masks):
         bit = 1 << i
         while row:
             low = row & -row
             cols[low.bit_length() - 1] |= bit
             row ^= low
-    return tuple(col & ~row for row, col in zip(rows, cols))
+    return tuple(cols)
+
+
+def _strict_up(rows) -> tuple[Mask, ...]:
+    """strict_up[x] = {a : a > x}: x's column {a : a >= x} less its row."""
+    return tuple(col & ~row for row, col in zip(rows, _transpose(rows)))
 
 
 def _transitivity_witnesses(rows):
@@ -315,6 +316,12 @@ def layers(p: Preorder) -> tuple[Mask, ...]:
     return tuple(q.expand(layer) for layer in q.layers)
 
 
+def canonical_completion(base: Preorder) -> TotalPreorder:
+    """Total preorder whose blocks are the iterated maximal layers of ``base``."""
+    _check_arguments(base)
+    return TotalPreorder(base.ground, layers(base))
+
+
 def incomparable_witness(p: Preorder) -> tuple[int, int] | None:
     _check_arguments(p)
     for i in range(p.n):
@@ -330,13 +337,13 @@ def is_total(p: Preorder) -> bool:
 
 
 def to_total(p: Preorder) -> TotalPreorder:
-    """Ordered-partition form of a total preorder; blocks are its layers."""
+    """Ordered-partition form of a total preorder, its canonical completion."""
     if isinstance(p, TotalPreorder):
         return p
     witness = incomparable_witness(p)
     if witness is not None:
         raise NotTotal(witness)
-    return TotalPreorder(p.ground, layers(p))
+    return canonical_completion(p)
 
 
 def is_completion(cand: Preorder, base: Preorder) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .completions import MAX_COMPLETION_CLASSES, class_blocks
 from .core import (Mask, Preorder, Quotient, _check_arguments, down_set, guard,
-                   iter_bits, to_total)
+                   to_total)
 from .errors import BadParameter
 
 
@@ -52,14 +52,12 @@ def class_index(q: Quotient, classes: Mask, max_classes: int | None = None
     """Index of a preorder restricted to the class mask ``classes`` of its
     quotient ``q``, and every completion attaining it (class masks, top block
     first).  The index grows strictly with containment, so only maximal
-    completions are priced, each from its class sizes."""
+    completions are priced, each block by the elements of its classes."""
     guard(MAX_COMPLETION_CLASSES, max_classes, classes.bit_count(),
           "enumerating completions", "indifference classes")
-    sizes = q.sizes
     best, ties = -1, []
     for blocks in class_blocks(q.up, classes, "maximal"):
-        value = index_total_from_sizes(
-            [sum(sizes[c] for c in iter_bits(b)) for b in blocks])
+        value = index_total_from_sizes([q.expand(b).bit_count() for b in blocks])
         if value > best:
             best, ties = value, [blocks]
         elif value == best:
@@ -92,11 +90,7 @@ def layer_composition(sizes):
         raise BadParameter(f"layer sizes must be a list or tuple, got {sizes!r}")
     if not sizes:
         raise BadParameter("need at least one layer size")
-    total = Fraction(0)
-    prefix = 0
     for size in sizes:
         if not isinstance(size, int) or isinstance(size, bool) or size < 1:
             raise BadParameter(f"layer sizes must be positive integers, got {size!r}")
-        total += Fraction(size, 1 << prefix)
-        prefix += size
-    return total
+    return Fraction(index_total_from_sizes(sizes), 1 << sum(sizes))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import quotient_oracle as oracle
 import worked_examples as wx
 from preorder_bca import (
     BadParameter,
@@ -18,6 +19,7 @@ from preorder_bca import (
     to_total,
     validate_preorder,
 )
+from preorder_bca.completions import class_blocks
 from preorder_bca.core import Relation, iter_bits
 from conftest import random_preorder
 from worked_examples import spec
@@ -172,6 +174,23 @@ def test_filtered_streams_match_the_definitions():
         maximal_blocks = {c.blocks for c in maximal}
         for cand in completions:
             assert is_maximal_completion(cand, base) == (cand.blocks in maximal_blocks)
+
+
+def test_maximal_stream_on_restrictions_matches_the_definition():
+    # condition (*) asks class_blocks for the maximal completions of class
+    # submasks: each must be the definitional filter of the restriction's
+    # "all" stream, in its order.  ``restrict`` renumbers the elements, so
+    # blocks are compared by their labels
+    for n in (1, 2, 3, 4):
+        for base in enumerate_preorders(GroundSet(tuple(f"e{i}" for i in range(n)))):
+            q = base.quotient
+            for sub in range(1, 1 << len(q.classes)):
+                part = oracle.restrict(base, q.expand(sub))
+                expected = [tuple(part.ground.label_set(b) for b in c.blocks)
+                            for c in maximal_by_containment(
+                                list(enumerate_completions(part)))]
+                assert [tuple(base.ground.label_set(q.expand(b)) for b in blocks)
+                        for blocks in class_blocks(q.up, sub, "maximal")] == expected
 
 
 def test_fence8_has_49_maximal_completions():

@@ -251,6 +251,21 @@ def test_condition_star_lists_only_the_least_s_per_y():
             for w in report.witnesses] == [(1, ("a",), tuple(ys), 64, 32)]
 
 
+def test_condition_star_prices_antichain_leaves_as_one_block():
+    # 16 tops, each above 3 leaves of its own (64 elements).  Every Y is an
+    # antichain of leaves, whose one maximal completion is a single block, so
+    # the inner index tries that block alone rather than every split
+    tops = [f"t{t}" for t in range(16)]
+    leaves = {t: [f"{t}_{j}" for j in range(3)] for t in tops}
+    base = wx.closure_preorder([*tops, *(x for t in tops for x in leaves[t])],
+                               [(t, x) for t in tops for x in leaves[t]])
+    report = condition_star(base)
+    assert (report.verdict, len(report.witnesses)) == ("fails", 696)
+    w = report.witnesses[0]
+    assert (w.layer, w.subset.bit_count(), w.below.bit_count(), w.index_value,
+            w.bound) == (1, 1, 3, 24, 16)
+
+
 def test_bruteforce_guard():
     with pytest.raises(TooLarge):
         bca_bruteforce(wx.three_member_tie_base())
@@ -459,31 +474,37 @@ def _relabel(mask: int, perm) -> int:
 @settings(max_examples=100, deadline=5000,
           phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target,
                   Phase.shrink))
-@given(_hard_rows(7), st.permutations(range(7)), _hard_rows(4), _hard_rows(4))
+@given(_hard_rows(7), st.permutations(range(7)), _hard_rows(5), _hard_rows(5))
 def test_the_routes_keep_the_metamorphic_laws(rows, order, upper, lower):
-    """Brute force and duality give the answers two laws derive from brute
-    force's answers on smaller or relabelled bases.
+    """Brute force, duality, auto and the index give the answers two laws
+    derive from brute force's answers on smaller or relabelled bases.
 
     Relabelling the elements by a permutation relabels the tie set and keeps
     the distance and the index.  In the ordinal sum A + B, every element of A
     above every element of B, the ties are each tie of A followed by each tie
-    of B, and the index and the distance are 2^|B| times A's plus B's."""
+    of B, and the index and the distance are 2^|B| times A's plus B's.  Sums
+    reach 9 classes, duality's guard; brute force checks those of at most 8."""
+    a, b = len(upper), len(lower)
+    assume(a + b <= 9)
     perm = [i for i in order if i < len(rows)]  # element i goes to perm[i]
     moved = [0] * len(rows)
     for i, row in enumerate(rows):
         moved[perm[i]] = _relabel(row, perm)
-    a, b = len(upper), len(lower)
     below = (1 << b) - 1
     summed = [row | below << a for row in upper] + [row << a for row in lower]
     plain = bca_bruteforce(_poset(rows))
     top, bottom = bca_bruteforce(_poset(upper)), bca_bruteforce(_poset(lower))
-    for route in (bca_bruteforce, bca_duality):
+    assert index_general(_poset(moved)) == plain.index
+    assert index_general(_poset(summed)) == (top.index << b) + bottom.index
+    for route in (bca_bruteforce, bca_duality, bca_auto):
         relabelled = route(_poset(moved))
         assert [c.blocks for c in relabelled.bca_set] == sorted(
             tuple(_relabel(block, perm) for block in c.blocks)
             for c in plain.bca_set)
         assert (relabelled.distance, relabelled.index) == \
             (plain.distance, plain.index)
+        if route is bca_bruteforce and a + b > 8:
+            continue
         whole = route(_poset(summed))
         assert [c.blocks for c in whole.bca_set] == sorted(
             t.blocks + tuple(block << a for block in s.blocks)
